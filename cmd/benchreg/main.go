@@ -34,6 +34,18 @@
 // experiment's time-to-first-tuple figures) are likewise recorded but
 // never compared: a first pair's arrival time is a point event that
 // moves with any intentional partition-layout change.
+//
+// With -benchmem, allocs/op and B/op are recorded too. allocs/op on a
+// simulator benchmark (one that reports no wall metric) is as
+// deterministic as the virtual clock — three runs of the suite spread
+// under 0.1% on every benchmark above a thousand allocations, and by
+// at most five allocations below that — so it is compared under the
+// fixed, tight allocPct threshold, with a floor of allocSlack
+// allocations.
+// B/op moves with allocation sizes and GC timing and is only
+// reported. -strict fails the run on gated warnings only: virtual
+// metric drift, allocs/op drift and coverage gaps; ns/op, wall-ratio
+// and B/op findings never fail it.
 package main
 
 import (
@@ -53,6 +65,10 @@ import (
 type Bench struct {
 	// NsPerOp is wall time per iteration (noisy; compared loosely).
 	NsPerOp float64 `json:"ns_per_op"`
+	// AllocsPerOp and BytesPerOp are the -benchmem counters (zero when
+	// the run had no -benchmem).
+	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	// Metrics holds custom b.ReportMetric values by unit. These are
 	// virtual quantities from the deterministic simulator.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
@@ -68,7 +84,7 @@ func main() {
 	compare := flag.String("compare", "", "compare benchmarks from stdin against this JSON snapshot")
 	threshold := flag.Float64("threshold", 15, "regression warning threshold (%)")
 	wallThreshold := flag.Float64("wall-threshold", 60, "drift threshold (%) for the compared wall-clock ratios (wall-overlap)")
-	strict := flag.Bool("strict", false, "exit non-zero when any warning fires")
+	strict := flag.Bool("strict", false, "exit non-zero when a gated warning fires (virtual metrics, allocs/op, coverage)")
 	wall := flag.Bool("ns", true, "also compare wall-clock ns/op (disable on shared CI runners)")
 	flag.Parse()
 
@@ -107,13 +123,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchreg:", err)
 		os.Exit(2)
 	}
-	warnings := diff(old, cur, *threshold, *wallThreshold, *wall)
+	allocWarnings, notes := diffMem(old, cur, allocPct, *threshold)
+	warnings := append(diff(old, cur, *threshold, *wallThreshold, *wall), allocWarnings...)
+	// The gated subset: the same comparison without ns/op and with the
+	// wall ratios out of reach, plus allocs/op.
+	gated := len(diff(old, cur, *threshold, math.Inf(1), false)) + len(allocWarnings)
 	for _, w := range warnings {
 		fmt.Println(w)
 	}
-	fmt.Printf("benchreg: %d benchmarks compared against %s, %d warnings (threshold %.0f%%)\n",
-		len(cur.Benchmarks), *compare, len(warnings), *threshold)
-	if *strict && len(warnings) > 0 {
+	for _, n := range notes {
+		fmt.Println(n)
+	}
+	fmt.Printf("benchreg: %d benchmarks compared against %s, %d warnings, %d gated (threshold %g%%, allocs %g%%)\n",
+		len(cur.Benchmarks), *compare, len(warnings), gated, *threshold, allocPct)
+	if *strict && gated > 0 {
 		os.Exit(1)
 	}
 }
@@ -160,10 +183,14 @@ func parse(r io.Reader) (*Snapshot, error) {
 			if err != nil {
 				break
 			}
-			unit := fields[i+1]
-			if unit == "ns/op" {
+			switch unit := fields[i+1]; {
+			case unit == "ns/op":
 				b.NsPerOp = v
-			} else if !strings.HasSuffix(unit, "/op") || isCustom(unit) {
+			case unit == "allocs/op":
+				b.AllocsPerOp = v
+			case unit == "B/op":
+				b.BytesPerOp = v
+			case !strings.HasSuffix(unit, "/op") || isCustom(unit):
 				b.Metrics[unit] = v
 			}
 		}
@@ -288,6 +315,65 @@ func diff(old, cur *Snapshot, pct, wallPct float64, wall bool) []string {
 			"WARN %s: benchmark missing from snapshot (re-snapshot to start guarding it)", name))
 	}
 	return warnings
+}
+
+// allocPct is the allocs/op drift (%) that fails a simulator
+// benchmark, and allocSlack the drift in allocations always
+// tolerated: benchmarks of a few dozen allocations move by a handful
+// of runtime allocations run to run (Fig1SmallR measured 32–33).
+const (
+	allocPct   = 1.0
+	allocSlack = 16
+)
+
+// simBench reports whether a benchmark runs on the simulator: it
+// reports no wall-clock metric. Only those have deterministic
+// allocation counts; the file backend's depend on I/O timing.
+func simBench(b Bench) bool {
+	for unit := range b.Metrics {
+		if isWall(unit) {
+			return false
+		}
+	}
+	return true
+}
+
+// diffMem compares the -benchmem counters of benchmarks present in
+// both snapshots. allocs/op drift on a simulator benchmark beyond
+// pct percent (and allocSlack allocations) is a gated warning,
+// as is a snapshot count missing from the current run. B/op drift
+// beyond bytesPct percent is a report-only note. Snapshots without
+// -benchmem counters compare nothing.
+func diffMem(old, cur *Snapshot, pct, bytesPct float64) (warnings, notes []string) {
+	names := make([]string, 0, len(old.Benchmarks))
+	for name := range old.Benchmarks {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		o := old.Benchmarks[name]
+		c, ok := cur.Benchmarks[name]
+		if !ok || !simBench(o) {
+			continue // a missing benchmark is diff's warning
+		}
+		if o.AllocsPerOp > 0 {
+			switch d := change(o.AllocsPerOp, c.AllocsPerOp); {
+			case c.AllocsPerOp == 0:
+				warnings = append(warnings, fmt.Sprintf(
+					"WARN %s: allocs/op missing from current run (run with -benchmem)", name))
+			case d > pct && math.Abs(c.AllocsPerOp-o.AllocsPerOp) > allocSlack:
+				warnings = append(warnings, fmt.Sprintf(
+					"WARN %s: allocs/op drifted %.2f%% (%g -> %g, threshold %g%%)", name, d, o.AllocsPerOp, c.AllocsPerOp, pct))
+			}
+		}
+		if o.BytesPerOp > 0 && c.BytesPerOp > 0 {
+			if d := change(o.BytesPerOp, c.BytesPerOp); d > bytesPct {
+				notes = append(notes, fmt.Sprintf(
+					"NOTE %s: B/op drifted %.1f%% (%g -> %g; report-only)", name, d, o.BytesPerOp, c.BytesPerOp))
+			}
+		}
+	}
+	return warnings, notes
 }
 
 // newKeys returns the keys of cur absent from old, sorted.

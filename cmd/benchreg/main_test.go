@@ -242,3 +242,55 @@ func TestDiffWarnsOnSnapshotGaps(t *testing.T) {
 		t.Fatalf("self-diff produced warnings: %v", w)
 	}
 }
+
+// TestParseRecordsMemCounters: -benchmem counters land in their own
+// fields, never among the custom metrics.
+func TestParseRecordsMemCounters(t *testing.T) {
+	s, err := parse(strings.NewReader(sampleOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := s.Benchmarks["BenchmarkWithAllocs"]
+	if b.AllocsPerOp != 3 || b.BytesPerOp != 512 {
+		t.Fatalf("allocs/op = %v, B/op = %v; want 3 and 512", b.AllocsPerOp, b.BytesPerOp)
+	}
+}
+
+// TestDiffMemGatesSimAllocs: allocs/op drift past the threshold and
+// the slack warns on simulator benchmarks only; B/op drift is a note;
+// snapshots without counters compare nothing.
+func TestDiffMemGatesSimAllocs(t *testing.T) {
+	old := &Snapshot{Benchmarks: map[string]Bench{
+		"Sim":    {AllocsPerOp: 100000, BytesPerOp: 1e6, Metrics: map[string]float64{"vsec": 1}},
+		"Small":  {AllocsPerOp: 32},
+		"File":   {AllocsPerOp: 5000, Metrics: map[string]float64{"wall-sec": 1}},
+		"NoMem":  {Metrics: map[string]float64{"vsec": 1}},
+		"Steady": {AllocsPerOp: 100000},
+	}}
+	cur := &Snapshot{Benchmarks: map[string]Bench{
+		"Sim":    {AllocsPerOp: 102000, BytesPerOp: 2e6, Metrics: map[string]float64{"vsec": 1}}, // +2%
+		"Small":  {AllocsPerOp: 40},                                                              // +25%, within the slack
+		"File":   {AllocsPerOp: 9000, Metrics: map[string]float64{"wall-sec": 1}},                // not gated
+		"NoMem":  {AllocsPerOp: 7, Metrics: map[string]float64{"vsec": 1}},
+		"Steady": {AllocsPerOp: 100500}, // +0.5%
+	}}
+	warnings, notes := diffMem(old, cur, 1, 15)
+	if len(warnings) != 1 || !strings.Contains(warnings[0], "Sim: allocs/op drifted") {
+		t.Fatalf("want only Sim's allocs/op warning, got:\n%s", strings.Join(warnings, "\n"))
+	}
+	if len(notes) != 1 || !strings.Contains(notes[0], "Sim: B/op drifted") {
+		t.Fatalf("want only Sim's B/op note, got:\n%s", strings.Join(notes, "\n"))
+	}
+
+	// A run without -benchmem against a snapshot with counters is a
+	// coverage gap.
+	cur.Benchmarks["Steady"] = Bench{}
+	warnings, _ = diffMem(old, cur, 1, 15)
+	found := false
+	for _, w := range warnings {
+		found = found || strings.Contains(w, "Steady: allocs/op missing")
+	}
+	if !found {
+		t.Fatalf("missing allocs/op not flagged:\n%s", strings.Join(warnings, "\n"))
+	}
+}

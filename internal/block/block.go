@@ -110,67 +110,123 @@ func (blk Block) Tag() (byte, error) {
 	return blk[3], nil
 }
 
-// Decode unpacks a block into its tuples, verifying the checksum.
-// Payload slices alias the block's storage; callers that retain tuples
-// past the block's lifetime must copy.
-func (blk Block) Decode() (tag byte, tuples []Tuple, err error) {
+// header checks the block's structure and returns its tag, tuple
+// count and body. It does not check the body checksum.
+func (blk Block) header() (tag byte, n uint32, body []byte, err error) {
 	if len(blk) < headerSize {
-		return 0, nil, ErrTruncated
+		return 0, 0, nil, ErrTruncated
 	}
 	if blk[0] != magic0 || blk[1] != magic1 {
-		return 0, nil, ErrBadMagic
+		return 0, 0, nil, ErrBadMagic
 	}
 	if blk[2] != version {
-		return 0, nil, fmt.Errorf("%w: %d", ErrBadVersion, blk[2])
+		return 0, 0, nil, fmt.Errorf("%w: %d", ErrBadVersion, blk[2])
 	}
-	tag = blk[3]
-	n := binary.LittleEndian.Uint32(blk[4:8])
-	sum := binary.LittleEndian.Uint32(blk[8:12])
-	body := blk[headerSize:]
-	if crc32.ChecksumIEEE(body) != sum {
-		return 0, nil, ErrBadChecksum
+	return blk[3], binary.LittleEndian.Uint32(blk[4:8]), blk[headerSize:], nil
+}
+
+// Decode unpacks a block into its tuples, verifying the checksum.
+// Payload slices alias the block's storage; callers that retain tuples
+// past the block's lifetime must copy. It allocates the tuple slice;
+// hot paths walk blocks with Iter instead.
+func (blk Block) Decode() (tag byte, tuples []Tuple, err error) {
+	if err := blk.Verify(); err != nil {
+		return 0, nil, err
 	}
+	tag, n, _, _ := blk.header()
 	tuples = make([]Tuple, 0, n)
-	off := 0
-	for i := uint32(0); i < n; i++ {
-		if off+10 > len(body) {
-			return 0, nil, ErrTruncated
-		}
-		key := binary.LittleEndian.Uint64(body[off : off+8])
-		plen := int(binary.LittleEndian.Uint16(body[off+8 : off+10]))
-		off += 10
-		if off+plen > len(body) {
-			return 0, nil, ErrTruncated
-		}
-		tuples = append(tuples, Tuple{Key: key, Payload: body[off : off+plen]})
-		off += plen
+	it := Tuples([]Block{blk})
+	for it.Next() {
+		tuples = append(tuples, it.Tuple())
 	}
-	if off != len(body) {
-		return 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrTruncated, len(body)-off)
+	if err := it.Err(); err != nil {
+		return 0, nil, err
 	}
 	return tag, tuples, nil
 }
 
 // Verify checks the header and body checksum without building tuples.
-// Device read paths use it to turn silent corruption into a typed
-// error at the point of transfer — cheap enough to run on every block
-// read back from disk or tape.
+// It is the one integrity check of a block read on the simulated
+// devices, which run it on every block they deliver.
 func (blk Block) Verify() error {
-	if len(blk) < headerSize {
-		return ErrTruncated
+	_, _, body, err := blk.header()
+	if err != nil {
+		return err
 	}
-	if blk[0] != magic0 || blk[1] != magic1 {
-		return ErrBadMagic
-	}
-	if blk[2] != version {
-		return fmt.Errorf("%w: %d", ErrBadVersion, blk[2])
-	}
-	sum := binary.LittleEndian.Uint32(blk[8:12])
-	if crc32.ChecksumIEEE(blk[headerSize:]) != sum {
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(blk[8:12]) {
 		return ErrBadChecksum
 	}
 	return nil
 }
+
+// VerifyAll verifies every block of a delivered read, naming the first
+// bad one.
+func VerifyAll(blks []Block) error {
+	for i, blk := range blks {
+		if err := blk.Verify(); err != nil {
+			return fmt.Errorf("block %d of read: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// Iter walks the tuples of a run of blocks in order without
+// allocating. It checks structure only — magic, version and that every
+// tuple lies inside its block — not the checksum: its blocks must have
+// been verified where a device delivered them, or built in memory.
+// Tuple payloads alias block storage. Use it as
+//
+//	it := block.Tuples(blks)
+//	for it.Next() {
+//		t := it.Tuple()
+//		...
+//	}
+//	if err := it.Err(); err != nil { ... }
+type Iter struct {
+	blks []Block
+	body []byte // unread rest of the current block's body
+	left uint32 // tuples left in the current block
+	t    Tuple
+	err  error
+}
+
+// Tuples returns an iterator over the tuples of blks.
+func Tuples(blks []Block) Iter { return Iter{blks: blks} }
+
+// Next advances to the next tuple, reporting false at the end of the
+// run or on a malformed block (see Err).
+func (it *Iter) Next() bool {
+	for it.left == 0 {
+		if len(it.body) != 0 {
+			it.err = fmt.Errorf("%w: %d trailing bytes", ErrTruncated, len(it.body))
+		}
+		if it.err != nil || len(it.blks) == 0 {
+			return false
+		}
+		_, it.left, it.body, it.err = it.blks[0].header()
+		it.blks = it.blks[1:]
+	}
+	body := it.body
+	if len(body) < 10 {
+		it.err = ErrTruncated
+		return false
+	}
+	plen := int(binary.LittleEndian.Uint16(body[8:10]))
+	if 10+plen > len(body) {
+		it.err = ErrTruncated
+		return false
+	}
+	it.t = Tuple{Key: binary.LittleEndian.Uint64(body[0:8]), Payload: body[10 : 10+plen : 10+plen]}
+	it.body = body[10+plen:]
+	it.left--
+	return true
+}
+
+// Tuple returns the current tuple.
+func (it *Iter) Tuple() Tuple { return it.t }
+
+// Err returns the structural error that stopped the walk, or nil.
+func (it *Iter) Err() error { return it.err }
 
 // MustDecode decodes and panics on corruption. Used internally by join
 // operators where a decode failure indicates a simulator bug, not an

@@ -25,6 +25,7 @@ import (
 // wall-clock time.
 type Drive struct {
 	name string
+	dev  string // "tape:<name>": the trace and fault device name
 	k    *sim.Kernel
 	cfg  device.DriveConfig
 	res  *sim.Resource
@@ -126,6 +127,9 @@ func (d *Drive) Load(m device.Medium) {
 		if err == nil {
 			err = spool.appendRecords(0, blks)
 		}
+		if err == nil {
+			spool.poisonBad(blks)
+		}
 		if err != nil {
 			d.loadErr = fmt.Errorf("filedev: drive %q spool %q: %w", d.name, m.Name(), err)
 			spool.close()
@@ -176,7 +180,7 @@ func (d *Drive) switchIn() {
 // it strikes the planned syscalls on the worker.
 func (d *Drive) consult(p *sim.Proc, write bool, addr device.Addr, n int64) (bool, error) {
 	op := fault.Op{
-		Device: "tape:" + d.name, Write: write,
+		Device: d.dev, Write: write,
 		Addr: int64(addr), N: n, Now: p.Now(),
 	}
 	dec := fault.Decide(d.inj, op)
@@ -207,7 +211,7 @@ func (d *Drive) consult(p *sim.Proc, write bool, addr device.Addr, n int64) (boo
 // record emits a trace event spanning [from, now].
 func (d *Drive) record(p *sim.Proc, kind trace.Kind, from sim.Time, blocks int64) {
 	d.rec.AddFor(p, trace.Event{
-		Device: "tape:" + d.name, Kind: kind,
+		Device: d.dev, Kind: kind,
 		Start: from, End: p.Now(), Blocks: blocks,
 	})
 }
@@ -294,17 +298,14 @@ func (d *Drive) ReadAt(p *sim.Proc, addr device.Addr, n int64) ([]block.Block, e
 	if err != nil {
 		return nil, err
 	}
+	flipDelivered(plan, corrupt)
 	if err := d.transfer(p, trace.TapeRead, entered, n, false, func() error {
 		return d.spool.execReads(plan)
 	}); err != nil {
 		return nil, err
 	}
 	d.pos = addr + device.Addr(n)
-	blks := assemble(plan)
-	if corrupt {
-		corruptDelivered(blks)
-	}
-	return blks, nil
+	return assemble(plan), nil
 }
 
 // ReadRegion implements device.Drive.
@@ -338,17 +339,14 @@ func (d *Drive) ReadRegionReverse(p *sim.Proc, r device.Region) ([]block.Block, 
 	if err != nil {
 		return nil, err
 	}
+	flipDelivered(plan, corrupt)
 	if err := d.transfer(p, trace.TapeRead, entered, r.N, false, func() error {
 		return d.spool.execReads(plan)
 	}); err != nil {
 		return nil, err
 	}
 	d.pos = r.Start
-	blks := assemble(plan)
-	if corrupt {
-		corruptDelivered(blks)
-	}
-	return blks, nil
+	return assemble(plan), nil
 }
 
 // Append implements device.Drive: the medium records the append (it
@@ -441,14 +439,12 @@ func (d *Drive) Close() error {
 	return err
 }
 
-// corruptDelivered bit-flips one block of a delivered read without
-// touching the stored copy, so a re-read recovers.
-func corruptDelivered(blks []block.Block) {
-	if len(blks) == 0 {
-		return
+// flipDelivered arms an injected delivery fault on one block of a
+// planned read: its bytes are damaged after the syscall and before
+// the frame check, so the read fails with device.ErrCorrupt while the
+// stored copy stays intact and a re-read recovers.
+func flipDelivered(plan []readOp, corrupt bool) {
+	if corrupt && len(plan) > 0 {
+		plan[len(plan)/2].flip = true
 	}
-	i := len(blks) / 2
-	bad := append(block.Block(nil), blks[i]...)
-	bad[len(bad)-1] ^= 0xff
-	blks[i] = bad
 }

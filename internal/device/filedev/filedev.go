@@ -280,9 +280,10 @@ func (b *Backend) NewDrive(k *sim.Kernel, name string, cfg device.DriveConfig) (
 	if err != nil {
 		return nil, err
 	}
-	return &Drive{name: name, k: k, cfg: cfg, dir: dir, b: b,
-		w:   b.worker("tape:" + name),
-		res: sim.NewResource(k, "tape:"+name, 1)}, nil
+	dev := "tape:" + name
+	return &Drive{name: name, dev: dev, k: k, cfg: cfg, dir: dir, b: b,
+		w:   b.worker(dev),
+		res: sim.NewResource(k, dev, 1)}, nil
 }
 
 // NewSharedDrivePair implements device.Backend: two logical drives
@@ -371,8 +372,9 @@ func (s *syncer) flush(f *faultfile.File) error {
 // little-endian, and every read verifies the payload against the CRC
 // captured at plan time: torn writes, bit rot and truncated tails all
 // surface as typed device.ErrCorrupt instead of silently joining wrong
-// bytes. (The join layer re-verifies the block-level checksum on top —
-// the frame CRC catches corruption below the block encoding.)
+// bytes. The frame CRC covers the whole encoded block, so it is the one
+// integrity check of a read on this backend: nothing above re-verifies
+// the block-level checksum.
 //
 // Operations are split so the async path has no shared mutable state:
 // planAppend/planRead mutate the index and reserve offsets on the
@@ -428,11 +430,14 @@ type writeOp struct {
 }
 
 // readOp is one planned record read: the payload offset, a destination
-// buffer sized from the index, and the expected payload CRC.
+// buffer sized from the index, and the expected payload CRC. flip
+// models an injected delivery fault: the read bytes are damaged on the
+// way in, before the frame check.
 type readOp struct {
-	off int64
-	buf []byte
-	crc uint32
+	off  int64
+	buf  []byte
+	crc  uint32
+	flip bool
 }
 
 // planAppend registers blks at logical positions pos, pos+1, ... and
@@ -516,6 +521,9 @@ func (r *recFile) execReads(ops []readOp) error {
 		case err != nil:
 			return fmt.Errorf("filedev: record %d: %w", i, err)
 		}
+		if op.flip && len(op.buf) > 0 {
+			op.buf[len(op.buf)-1] ^= 0xff
+		}
 		if got := crc32.ChecksumIEEE(op.buf); got != op.crc {
 			return fmt.Errorf("filedev: record %d: stored crc %08x, read %08x: %w",
 				i, op.crc, got, device.ErrCorrupt)
@@ -541,6 +549,19 @@ func (r *recFile) appendRecords(pos int64, blks []block.Block) error {
 		return err
 	}
 	return r.execWrites(ops)
+}
+
+// poisonBad marks the records of blks (appended from position 0) whose
+// block checksum already fails — silent corruption of the medium the
+// spool was copied from — by inverting their expected frame CRC, so a
+// read of one fails the frame check with device.ErrCorrupt like any
+// other damaged stored record.
+func (r *recFile) poisonBad(blks []block.Block) {
+	for i, blk := range blks {
+		if blk.Verify() != nil {
+			r.crcs[i] = ^r.crcs[i]
+		}
+	}
 }
 
 // truncate drops all records from logical position n onward.

@@ -283,3 +283,41 @@ func TestSyncPathIgnoresDeadlines(t *testing.T) {
 		}
 	})
 }
+
+// TestFrameCheckIsTheOneIntegrityCheck: on this backend the record
+// frame CRC is the only checksum a read computes, so both kinds of
+// damage the block checksum used to catch above it must fail the
+// frame check with device.ErrCorrupt — a device-level corrupt=
+// delivery flip, and a medium whose stored block was already bad when
+// the drive spooled it at mount.
+func TestFrameCheckIsTheOneIntegrityCheck(t *testing.T) {
+	b := New(t.TempDir())
+	k := sim.NewKernel()
+	d, err := b.NewDrive(k, "R", biDirCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	m := tape.NewMedia("t1", 100)
+	if _, err := m.AppendSetup(mkBlocks(1, 6, 0)); err != nil {
+		t.Fatal(err)
+	}
+	m.Corrupt(4)
+	d.Load(m)
+	run(t, k, func(p *sim.Proc) {
+		if _, err := d.ReadAt(p, 3, 2); !errors.Is(err, device.ErrCorrupt) {
+			t.Fatalf("read of a block stored bad on the medium: %v, want device.ErrCorrupt", err)
+		}
+		d.SetInjector((&fault.Schedule{}).AddCorrupt("tape:R", 1, 1))
+		if _, err := d.ReadAt(p, 0, 3); !errors.Is(err, device.ErrCorrupt) {
+			t.Fatalf("read with an injected delivery flip: %v, want device.ErrCorrupt", err)
+		}
+		if _, err := d.ReadRegionReverse(p, device.Region{Start: 0, N: 3}); err != nil {
+			t.Fatalf("re-read after a delivery flip: %v", err)
+		}
+		blks, err := d.ReadAt(p, 0, 3)
+		if err != nil || keyOf(t, blks[1]) != 1 {
+			t.Fatalf("re-read: %v", err)
+		}
+	})
+}

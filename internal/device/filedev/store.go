@@ -285,16 +285,13 @@ func (f *File) ReadAt(p *sim.Proc, off, n int64) ([]block.Block, error) {
 	if err != nil {
 		return nil, err
 	}
+	flipDelivered(plan, corrupt)
 	if err := f.s.transfer(p, n, false, func() error {
 		return f.rf.execReads(plan)
 	}); err != nil {
 		return nil, err
 	}
-	blks := assemble(plan)
-	if corrupt {
-		corruptDelivered(blks)
-	}
-	return blks, nil
+	return assemble(plan), nil
 }
 
 // Free implements device.File.

@@ -95,7 +95,9 @@ type Stats struct {
 }
 
 type dev struct {
+	a    *Array
 	id   int
+	name string // "disk<id>": the resource, trace and fault device name
 	res  *sim.Resource
 	used int64
 	dead bool // permanently failed; extents on it are lost
@@ -116,6 +118,15 @@ type Array struct {
 	met      arrayMetrics
 	inj      fault.Injector
 	nextFile int
+
+	// Scratch for one request, reused by every file: it is filled and
+	// consumed between two blocking points of the requesting proc
+	// (RunTransfers copies xfers before it blocks), and only one proc
+	// runs at a time.
+	share []int64
+	live  []int
+	wants []int64
+	xfers []sim.Transfer
 }
 
 // arrayMetrics are the array's series exported to an obs.Registry.
@@ -134,7 +145,8 @@ func NewArray(k *sim.Kernel, cfg Config) (*Array, error) {
 	}
 	a := &Array{k: k, cfg: cfg}
 	for i := 0; i < cfg.NumDisks; i++ {
-		a.disks = append(a.disks, &dev{id: i, res: sim.NewResource(k, fmt.Sprintf("disk%d", i), 1)})
+		name := fmt.Sprintf("disk%d", i)
+		a.disks = append(a.disks, &dev{a: a, id: i, name: name, res: sim.NewResource(k, name, 1)})
 	}
 	return a, nil
 }
@@ -187,18 +199,20 @@ func (a *Array) LiveDisks() int {
 	return n
 }
 
-// record emits a per-drive trace event stamped with span — captured by
-// the caller, because striped transfers run on helper processes that
-// carry no span stack of their own.
-func (a *Array) record(p *sim.Proc, id int, write bool, from sim.Time, blocks, span int64) {
+// TransferDone implements sim.TransferDone: it records one per-drive
+// request that ended now on p. The event is stamped with x.Span,
+// captured by the requester, because striped requests run on
+// stackless tasks that carry no span stack of their own.
+func (d *dev) TransferDone(p *sim.Proc, x *sim.Transfer, start sim.Time) {
 	kind := trace.DiskRead
-	if write {
+	if x.Write {
 		kind = trace.DiskWrite
 	}
-	a.rec.AddFor(p, trace.Event{
-		Device: fmt.Sprintf("disk%d", id), Kind: kind,
-		Start: from, End: p.Now(), Blocks: blocks, Span: span,
+	d.a.rec.AddFor(p, trace.Event{
+		Device: d.name, Kind: kind,
+		Start: start, End: p.Now(), Blocks: x.Blocks, Span: x.Span,
 	})
+	d.a.met.latency.Observe(sim.Duration(p.Now() - start).Seconds())
 }
 
 // TotalCapacity returns the array capacity in blocks across surviving
@@ -250,6 +264,7 @@ type File struct {
 	blocks  []block.Block
 	perDisk []int64 // blocks charged to each placement drive
 	freed   bool
+	ioName  string // names the file's striped-transfer tasks; set on first use
 }
 
 // Create makes an empty file placed on the given drives (nil = all
@@ -292,10 +307,17 @@ func (f *File) Name() string { return f.name }
 func (f *File) Len() int64 { return int64(len(f.blocks)) }
 
 // shares splits an n-block transfer round-robin over the file's
-// surviving drives, starting at the drive owning block offset off.
+// surviving drives, starting at the drive owning block offset off. The
+// result is the array's scratch: use it before the proc next blocks.
 func (f *File) shares(off, n int64) []int64 {
-	out := make([]int64, len(f.disks))
-	live := make([]int, 0, len(f.disks))
+	a := f.a
+	if cap(a.share) < len(f.disks) {
+		a.share = make([]int64, len(f.disks))
+		a.live = make([]int, 0, len(f.disks))
+	}
+	out := a.share[:len(f.disks)]
+	clear(out)
+	live := a.live[:0]
 	for i, d := range f.disks {
 		if !d.dead {
 			live = append(live, i)
@@ -343,7 +365,7 @@ func (a *Array) markDead(p *sim.Proc, id int) {
 	}
 	d.dead = true
 	a.rec.AddFor(p, trace.Event{
-		Device: fmt.Sprintf("disk%d", id), Kind: trace.Fault,
+		Device: d.name, Kind: trace.Fault,
 		Start: p.Now(), End: p.Now(), Note: "disk lost",
 	})
 }
@@ -391,7 +413,7 @@ func (f *File) checkFaults(p *sim.Proc, off, n int64, write bool) (corrupt bool,
 			continue
 		}
 		pd := fault.Decide(f.a.inj, fault.Op{
-			Device: fmt.Sprintf("disk%d", d.id), Write: write,
+			Device: d.name, Write: write,
 			Addr: off, N: sh[i], Now: p.Now(),
 		})
 		if pd.Err == nil {
@@ -414,6 +436,7 @@ func (f *File) doIO(p *sim.Proc, off, n int64, write bool) {
 	if n <= 0 {
 		return
 	}
+	a := f.a
 	sh := f.shares(off, n)
 	var single *dev
 	singles := 0
@@ -423,51 +446,40 @@ func (f *File) doIO(p *sim.Proc, off, n int64, write bool) {
 			singles++
 		}
 	}
-	span := f.a.rec.SpanAt(p)
+	span := a.rec.SpanAt(p)
+	xs := a.xfers[:0]
+	for i, d := range f.disks {
+		if sh[i] == 0 {
+			continue
+		}
+		t := a.transferTime(sh[i])
+		a.Stats.Requests++
+		a.Stats.OverheadTime += a.cfg.RequestOverhead
+		a.Stats.TransferTime += t - a.cfg.RequestOverhead
+		xs = append(xs, sim.Transfer{Res: d.res, Hold: t, Done: d, Blocks: sh[i], Write: write, Span: span})
+	}
+	a.xfers = xs
 	if singles == 1 {
-		// Fast path: one drive involved, no helper process needed.
-		t := f.a.transferTime(n)
-		f.a.Stats.Requests++
-		f.a.Stats.OverheadTime += f.a.cfg.RequestOverhead
-		f.a.Stats.TransferTime += t - f.a.cfg.RequestOverhead
+		// Fast path: one drive involved, the requester transfers
+		// itself. Copy the request out of the scratch before blocking.
+		x := xs[0]
 		single.res.Acquire(p)
 		t0 := p.Now()
-		p.Hold(t)
-		f.a.record(p, single.id, write, t0, n, span)
-		f.a.met.latency.Observe(sim.Duration(p.Now() - t0).Seconds())
+		p.Hold(x.Hold)
+		single.TransferDone(p, &x, t0)
 		single.res.Release(p)
 	} else {
-		active := make([]*sim.Proc, 0, singles)
-		for i, d := range f.disks {
-			cnt := sh[i]
-			if cnt == 0 {
-				continue
-			}
-			d, cnt := d, cnt
-			t := f.a.transferTime(cnt)
-			f.a.Stats.Requests++
-			f.a.Stats.OverheadTime += f.a.cfg.RequestOverhead
-			f.a.Stats.TransferTime += t - f.a.cfg.RequestOverhead
-			child := p.Kernel().Spawn(f.name+"-io", func(c *sim.Proc) {
-				d.res.Acquire(c)
-				t0 := c.Now()
-				c.Hold(t)
-				f.a.record(c, d.id, write, t0, cnt, span)
-				f.a.met.latency.Observe(sim.Duration(c.Now() - t0).Seconds())
-				d.res.Release(c)
-			})
-			active = append(active, child)
+		if f.ioName == "" {
+			f.ioName = f.name + "-io"
 		}
-		if err := p.WaitAll(active...); err != nil {
-			panic(err) // children cannot fail
-		}
+		p.RunTransfers(f.ioName, xs)
 	}
 	if write {
-		f.a.Stats.BlocksWritten += n
-		f.a.met.blocksWritten.Add(float64(n))
+		a.Stats.BlocksWritten += n
+		a.met.blocksWritten.Add(float64(n))
 	} else {
-		f.a.Stats.BlocksRead += n
-		f.a.met.blocksRead.Add(float64(n))
+		a.Stats.BlocksRead += n
+		a.met.blocksRead.Add(float64(n))
 	}
 }
 
@@ -514,7 +526,11 @@ func (f *File) charge(n int64) error {
 		return fmt.Errorf("%w: file %q needs %d blocks, placement has %d free",
 			ErrDiskFull, f.name, n, free)
 	}
-	wants := make([]int64, k)
+	if cap(f.a.wants) < k {
+		f.a.wants = make([]int64, k)
+	}
+	wants := f.a.wants[:k]
+	clear(wants)
 	remaining := n
 	for remaining > 0 {
 		// Pick the drive with the most free space after pending wants.
@@ -574,7 +590,8 @@ func countFull(disks []*dev, wants []int64, capPerDisk int64) int {
 }
 
 // ReadAt reads n blocks at offset off, blocking for the striped
-// transfer time.
+// transfer time. Every delivered block is checksum-verified; a
+// mismatch fails the read with block.ErrBadChecksum.
 func (f *File) ReadAt(p *sim.Proc, off, n int64) ([]block.Block, error) {
 	if f.freed {
 		panic(fmt.Sprintf("disk: read of freed file %q", f.name))
@@ -596,6 +613,10 @@ func (f *File) ReadAt(p *sim.Proc, off, n int64) ([]block.Block, error) {
 		bad := append(block.Block(nil), out[i]...)
 		bad[len(bad)-1] ^= 0xff
 		out[i] = bad
+	}
+	// The one integrity check of a simulated disk read.
+	if err := block.VerifyAll(out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

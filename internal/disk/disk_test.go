@@ -379,3 +379,72 @@ func TestQuickAllocatorConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStripedIOZeroAlloc pins a striped transfer's steady state at
+// zero allocations over two and three drives, uneven remainders
+// included: the per-drive requests run as pooled stackless tasks and
+// the share computation reuses the array's scratch.
+func TestStripedIOZeroAlloc(t *testing.T) {
+	for _, disks := range []int{2, 3} {
+		k := sim.NewKernel()
+		cfg := cfg2(64)
+		cfg.NumDisks = disks
+		cfg.RequestOverhead = time.Millisecond
+		a, err := NewArray(k, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.Spawn("io", func(p *sim.Proc) {
+			f, err := a.Create("f", nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := f.Append(p, mkBlocks(32)); err != nil {
+				t.Error(err)
+				return
+			}
+			off := int64(0)
+			allocs := testing.AllocsPerRun(100, func() {
+				f.doIO(p, off%8, 7, false)
+				off++
+			})
+			if allocs != 0 {
+				t.Errorf("striped doIO over %d disks: %v allocs per run, want 0", disks, allocs)
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestReadVerifiesDeliveredBlocks: the array's ReadAt is the one
+// checksum check of a simulated disk read.
+func TestReadVerifiesDeliveredBlocks(t *testing.T) {
+	k := sim.NewKernel()
+	a, err := NewArray(k, cfg2(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Spawn("io", func(p *sim.Proc) {
+		f, _ := a.Create("f", nil)
+		blks := mkBlocks(4)
+		bad := append(block.Block(nil), blks[2]...)
+		bad[len(bad)-1] ^= 1
+		blks[2] = bad
+		if err := f.Append(p, blks); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := f.ReadAt(p, 0, 4); !errors.Is(err, block.ErrBadChecksum) {
+			t.Errorf("read of a stored bad block: %v, want block.ErrBadChecksum", err)
+		}
+		if got, err := f.ReadAt(p, 0, 2); err != nil || len(got) != 2 {
+			t.Errorf("read of good blocks: %d blocks, %v", len(got), err)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -260,21 +260,18 @@ func hashRelationToTape(e *env, p *sim.Proc, src device.Drive, region device.Reg
 				pt.only = func(bkt int) bool { return bkt >= lo && bkt < hi && need[bkt-lo] }
 				pt.sketch = sk
 
-				err := e.readTape(up, src, region, plan.InBuf, func(_ int64, blks []block.Block) error {
-					var addErr error
-					err := forEachTuple(blks, func(t block.Tuple) {
-						if addErr != nil || (keep != nil && !keep(t)) {
-							return
+				keepCount := keep
+				if counts != nil {
+					keepCount = func(t block.Tuple) bool {
+						if keep != nil && !keep(t) {
+							return false
 						}
-						if counts != nil {
-							counts[hashutil.Bucket(t.Key, b)]++
-						}
-						addErr = pt.add(up, t)
-					})
-					if err != nil {
-						return err
+						counts[hashutil.Bucket(t.Key, b)]++
+						return true
 					}
-					return addErr
+				}
+				err := e.readTape(up, src, region, plan.InBuf, func(_ int64, blks []block.Block) error {
+					return pt.addBlocks(up, blks, keepCount)
 				})
 				if err != nil {
 					return err

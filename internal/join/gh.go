@@ -18,14 +18,14 @@ func addr(n int64) device.Addr { return device.Addr(n) }
 // tape region. Reads charge the owning device.
 type bucketSource interface {
 	blocks() int64
-	device() string
+	device() (kind, name string)
 	read(p *sim.Proc, off, n int64) ([]block.Block, error)
 }
 
 type diskBucket struct{ f device.File }
 
-func (d diskBucket) blocks() int64  { return d.f.Len() }
-func (d diskBucket) device() string { return "disk:" + d.f.Name() }
+func (d diskBucket) blocks() int64            { return d.f.Len() }
+func (d diskBucket) device() (string, string) { return "disk:", d.f.Name() }
 func (d diskBucket) read(p *sim.Proc, off, n int64) ([]block.Block, error) {
 	return d.f.ReadAt(p, off, n)
 }
@@ -40,8 +40,8 @@ type tapeBucket struct {
 	reverse bool
 }
 
-func (t tapeBucket) blocks() int64  { return t.region.N }
-func (t tapeBucket) device() string { return "tape:" + t.drive.Name() }
+func (t tapeBucket) blocks() int64            { return t.region.N }
+func (t tapeBucket) device() (string, string) { return "tape:", t.drive.Name() }
 func (t tapeBucket) read(p *sim.Proc, off, n int64) ([]block.Block, error) {
 	if t.reverse && off == 0 && n == t.region.N {
 		return t.drive.ReadRegionReverse(p, t.region)
@@ -156,17 +156,7 @@ func partitionTapeToDisk(e *env, p *sim.Proc, drive device.Drive, region device.
 	pt.route = lay.route
 	pt.sketch = sk
 	err := e.readTape(p, drive, region, lay.inBuf, func(_ int64, blks []block.Block) error {
-		var addErr error
-		err := forEachTuple(blks, func(t block.Tuple) {
-			if addErr != nil || (keep != nil && !keep(t)) {
-				return
-			}
-			addErr = pt.add(p, t)
-		})
-		if err != nil {
-			return err
-		}
-		return addErr
+		return pt.addBlocks(p, blks, keep)
 	})
 	if err != nil {
 		return nil, err

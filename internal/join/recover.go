@@ -84,23 +84,15 @@ func (e *env) unitRecoverable(err error) bool {
 	return errors.Is(err, device.ErrDiskFull) && len(e.disks.DeadDisks()) > 0
 }
 
-// verifyBlocks checks every delivered block's checksum, converting
-// silent corruption into a typed error at the point of transfer.
-func verifyBlocks(blks []block.Block) error {
-	for i, blk := range blks {
-		if err := blk.Verify(); err != nil {
-			return fmt.Errorf("block %d of read: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // readDev is the retrying device-read path every join read goes
-// through: execute the read, verify the delivered blocks, and on a
-// retryable failure reposition + re-read with bounded exponential
-// backoff charged in virtual time. A spent retry budget converts the
-// last cause into ErrFaultExhausted.
-func (e *env) readDev(p *sim.Proc, device string, read func() ([]block.Block, error)) ([]block.Block, error) {
+// through: execute the read and, on a retryable failure, reposition +
+// re-read with bounded exponential backoff charged in virtual time. A
+// spent retry budget converts the last cause into ErrFaultExhausted.
+// The device verified the delivered blocks (block.ErrBadChecksum on
+// the simulator, device.ErrCorrupt from the file backend's frame
+// check), so nothing here re-checks them. kind+name names the device
+// in retry telemetry; it is joined only on the retry path.
+func (e *env) readDev(p *sim.Proc, kind, name string, read func() ([]block.Block, error)) ([]block.Block, error) {
 	rec := e.res.Recovery
 	var deadline sim.Deadline
 	backoff := rec.Backoff
@@ -114,14 +106,12 @@ func (e *env) readDev(p *sim.Proc, device string, read func() ([]block.Block, er
 		}
 		blks, err := read()
 		if err == nil {
-			err = verifyBlocks(blks)
-			if err == nil {
-				return blks, nil
-			}
+			return blks, nil
 		}
 		if rec.Disabled || !retryableRead(err) {
 			return nil, err
 		}
+		device := kind + name
 		if attempt == 0 {
 			deadline = sim.NewDeadline(p, rec.MaxRecovery)
 		}
@@ -154,21 +144,22 @@ func (e *env) readDev(p *sim.Proc, device string, read func() ([]block.Block, er
 
 // tapeRead is readDev over a drive read.
 func (e *env) tapeRead(p *sim.Proc, drive device.Drive, a device.Addr, n int64) ([]block.Block, error) {
-	return e.readDev(p, "tape:"+drive.Name(), func() ([]block.Block, error) {
+	return e.readDev(p, "tape:", drive.Name(), func() ([]block.Block, error) {
 		return drive.ReadAt(p, a, n)
 	})
 }
 
 // diskRead is readDev over a file read.
 func (e *env) diskRead(p *sim.Proc, f device.File, off, n int64) ([]block.Block, error) {
-	return e.readDev(p, "disk:"+f.Name(), func() ([]block.Block, error) {
+	return e.readDev(p, "disk:", f.Name(), func() ([]block.Block, error) {
 		return f.ReadAt(p, off, n)
 	})
 }
 
 // readSrc is readDev over a bucket source.
 func (e *env) readSrc(p *sim.Proc, src bucketSource, off, n int64) ([]block.Block, error) {
-	return e.readDev(p, src.device(), func() ([]block.Block, error) {
+	kind, name := src.device()
+	return e.readDev(p, kind, name, func() ([]block.Block, error) {
 		return src.read(p, off, n)
 	})
 }

@@ -213,7 +213,8 @@ func sharedJoinChunk(e *env, p *sim.Proc, blks []block.Block, off int64, queries
 					return err
 				}
 				err = forEachTuple(rBlks, func(rt block.Tuple) {
-					for _, st := range table.m[rt.Key] {
+					for i := table.first(rt.Key); i >= 0; i = table.next[i] {
+						st := table.tuples[i]
 						if q.FilterS != nil && !q.FilterS(st) {
 							continue
 						}

@@ -135,17 +135,8 @@ func (e *env) splitBucketFile(p *sim.Proc, f device.File, sp *hashutil.SkewPlan,
 		if err != nil {
 			return nil, err
 		}
-		var addErr error
-		err = forEachTuple(blks, func(t block.Tuple) {
-			if addErr == nil {
-				addErr = pt.add(p, t)
-			}
-		})
-		if err != nil {
+		if err := pt.addBlocks(p, blks, nil); err != nil {
 			return nil, err
-		}
-		if addErr != nil {
-			return nil, addErr
 		}
 	}
 	if err := pt.finish(p); err != nil {

@@ -133,14 +133,16 @@ type tupleStream struct {
 	buf    int64
 
 	off  int64
-	cur  []block.Tuple
-	idx  int
+	it   block.Iter // walks the buffered blocks
 	done bool
 }
 
 // next returns the stream's next tuple.
 func (ts *tupleStream) next(p *sim.Proc) (block.Tuple, bool, error) {
-	for ts.idx >= len(ts.cur) {
+	for !ts.it.Next() {
+		if err := ts.it.Err(); err != nil {
+			return block.Tuple{}, false, fmt.Errorf("join: decode: %w", err)
+		}
 		if ts.off >= ts.region.N {
 			ts.done = true
 			return block.Tuple{}, false, nil
@@ -151,15 +153,9 @@ func (ts *tupleStream) next(p *sim.Proc) (block.Tuple, bool, error) {
 			return block.Tuple{}, false, err
 		}
 		ts.off += n
-		ts.cur = ts.cur[:0]
-		ts.idx = 0
-		if err := forEachTuple(blks, func(t block.Tuple) { ts.cur = append(ts.cur, t) }); err != nil {
-			return block.Tuple{}, false, err
-		}
+		ts.it = block.Tuples(blks)
 	}
-	t := ts.cur[ts.idx]
-	ts.idx++
-	return t, true, nil
+	return ts.it.Tuple(), true, nil
 }
 
 // blockPacker packs tuples into blocks and flushes them to a workspace
@@ -446,8 +442,7 @@ func narrowTo(e *env, ts *tupleStream, fences []uint64, target uint64) {
 	e.stats.ProbeJumps++
 	e.stats.ProbeSkippedBlocks += dst - ts.off
 	ts.off = dst
-	ts.cur = ts.cur[:0]
-	ts.idx = 0
+	ts.it = block.Iter{}
 }
 
 // mergeJoin streams the two sorted relations and emits every matching

@@ -264,10 +264,10 @@ func (SymHash) run(e *env, p *sim.Proc) error {
 		if bkt < pl.k {
 			if fromR {
 				sTabs[bkt].probeWithR(e, p, t)
-				rTabs[bkt].m[t.Key] = append(rTabs[bkt].m[t.Key], t)
+				rTabs[bkt].insert(t)
 			} else {
 				rTabs[bkt].probeWithS(e, p, t)
-				sTabs[bkt].m[t.Key] = append(sTabs[bkt].m[t.Key], t)
+				sTabs[bkt].insert(t)
 			}
 			return nil
 		}

@@ -2,6 +2,7 @@ package join
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/block"
 	"repro/internal/device"
@@ -12,34 +13,98 @@ import (
 // hashTable is the in-memory build side of a join phase. CPU cost is
 // outside the paper's cost model, so building and probing consume no
 // virtual time.
+//
+// The layout is flat, after DPG (PAPERS.md): every inserted tuple lands
+// in one arena in insertion order, and an open-addressed slot array
+// maps each distinct key to the head and tail of an int32 chain through
+// the arena. Chains append at the tail, so a probe visits a key's
+// tuples in insertion order — the order the emitted pairs depend on.
 type hashTable struct {
-	m map[uint64][]block.Tuple
+	tuples []block.Tuple
+	next   []int32 // next[i]: arena index of the next tuple with tuples[i]'s key, or -1
+	slots  []slot  // power-of-two length; at most half full
+	keys   int     // occupied slots
+	shift  uint    // 64 - log2(len(slots))
 }
+
+// slot maps one key to its chain. head is the arena index plus one, so
+// the zero slot is empty.
+type slot struct {
+	key        uint64
+	head, tail int32
+}
+
+// minSlots is a fresh table's slot count.
+const minSlots = 64
 
 func newHashTable() *hashTable {
-	return &hashTable{m: make(map[uint64][]block.Tuple)}
+	h := &hashTable{}
+	h.resize(minSlots)
+	return h
 }
 
-// addBlocks inserts every tuple of blks. Corrupt blocks surface as the
-// decoder's typed error, never a panic: the blocks come from device
-// reads, and delivered-copy corruption is an input condition here.
+// resize rehashes the slots into n (a power of two) slots.
+func (h *hashTable) resize(n int) {
+	old := h.slots
+	h.slots = make([]slot, n)
+	h.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for _, s := range old {
+		if s.head != 0 {
+			*h.find(s.key) = s
+		}
+	}
+}
+
+// find returns key's slot, or the empty slot where it belongs.
+func (h *hashTable) find(key uint64) *slot {
+	mask := len(h.slots) - 1
+	for i := int((key * 0x9e3779b97f4a7c15) >> h.shift); ; i = (i + 1) & mask {
+		if s := &h.slots[i]; s.head == 0 || s.key == key {
+			return s
+		}
+	}
+}
+
+// insert adds t at the end of its key's chain.
+func (h *hashTable) insert(t block.Tuple) {
+	i := int32(len(h.tuples))
+	h.tuples = append(h.tuples, t)
+	h.next = append(h.next, -1)
+	s := h.find(t.Key)
+	if s.head != 0 {
+		h.next[s.tail-1] = i
+		s.tail = i + 1
+		return
+	}
+	*s = slot{key: t.Key, head: i + 1, tail: i + 1}
+	if h.keys++; 2*h.keys > len(h.slots) {
+		h.resize(2 * len(h.slots))
+	}
+}
+
+// first returns the arena index of key's first tuple, or -1; next[i]
+// continues the chain.
+func (h *hashTable) first(key uint64) int32 {
+	return h.find(key).head - 1
+}
+
+// addBlocks inserts every tuple of blks.
 func (h *hashTable) addBlocks(blks []block.Block) error {
 	return h.addBlocksFiltered(blks, nil)
 }
 
-// addBlocksFiltered inserts tuples surviving keep (nil keeps all).
+// addBlocksFiltered inserts tuples surviving keep (nil keeps all). A
+// malformed block surfaces as the iterator's typed error, never a
+// panic.
 func (h *hashTable) addBlocksFiltered(blks []block.Block, keep keepFn) error {
-	for _, blk := range blks {
-		_, tuples, err := blk.Decode()
-		if err != nil {
-			return fmt.Errorf("join: build side: %w", err)
+	it := block.Tuples(blks)
+	for it.Next() {
+		if t := it.Tuple(); keep == nil || keep(t) {
+			h.insert(t)
 		}
-		for _, t := range tuples {
-			if keep != nil && !keep(t) {
-				continue
-			}
-			h.m[t.Key] = append(h.m[t.Key], t)
-		}
+	}
+	if err := it.Err(); err != nil {
+		return fmt.Errorf("join: build side: %w", err)
 	}
 	return nil
 }
@@ -47,39 +112,32 @@ func (h *hashTable) addBlocksFiltered(blks []block.Block, keep keepFn) error {
 // probeWithR probes with an R tuple against a table built on S tuples,
 // emitting (r, s) pairs through the env's emission funnel.
 func (h *hashTable) probeWithR(e *env, p *sim.Proc, r block.Tuple) {
-	for _, s := range h.m[r.Key] {
-		e.emit(p, r, s)
+	for i := h.first(r.Key); i >= 0; i = h.next[i] {
+		e.emit(p, r, h.tuples[i])
 	}
 }
 
 // probeWithS probes with an S tuple against a table built on R tuples,
 // emitting (r, s) pairs through the env's emission funnel.
 func (h *hashTable) probeWithS(e *env, p *sim.Proc, s block.Tuple) {
-	for _, r := range h.m[s.Key] {
-		e.emit(p, r, s)
+	for i := h.first(s.Key); i >= 0; i = h.next[i] {
+		e.emit(p, h.tuples[i], s)
 	}
 }
 
-func (h *hashTable) len() int {
-	n := 0
-	for _, v := range h.m {
-		n += len(v)
-	}
-	return n
-}
+func (h *hashTable) len() int { return len(h.tuples) }
 
-// forEachTuple decodes blocks and applies fn to every tuple. A corrupt
-// block stops the walk with the decoder's typed error — device-read
-// corruption must never panic a join.
+// forEachTuple applies fn to every tuple of blks. Blocks reach the
+// join verified by the device that delivered them, so the walk checks
+// structure only; a malformed block stops it with the iterator's typed
+// error — device-read corruption must never panic a join.
 func forEachTuple(blks []block.Block, fn func(block.Tuple)) error {
-	for _, blk := range blks {
-		_, tuples, err := blk.Decode()
-		if err != nil {
-			return fmt.Errorf("join: decode: %w", err)
-		}
-		for _, t := range tuples {
-			fn(t)
-		}
+	it := block.Tuples(blks)
+	for it.Next() {
+		fn(it.Tuple())
+	}
+	if err := it.Err(); err != nil {
+		return fmt.Errorf("join: decode: %w", err)
 	}
 	return nil
 }
@@ -172,7 +230,8 @@ func min64(a, b int64) int64 {
 	return b
 }
 
-// flushFn receives a run of freshly packed blocks for one bucket.
+// flushFn receives a run of freshly packed blocks for one bucket. blks
+// is valid only for the call: the partitioner reuses its storage.
 type flushFn func(p *sim.Proc, bucket int, blks []block.Block) error
 
 // partitioner hash-partitions a tuple stream into B buckets, packing
@@ -239,6 +298,23 @@ func (pt *partitioner) add(p *sim.Proc, t block.Tuple) error {
 	return nil
 }
 
+// addBlocks routes every tuple of blks that survives keep (nil keeps
+// all), stopping at the first flush error.
+func (pt *partitioner) addBlocks(p *sim.Proc, blks []block.Block, keep keepFn) error {
+	it := block.Tuples(blks)
+	for it.Next() {
+		if t := it.Tuple(); keep == nil || keep(t) {
+			if err := pt.add(p, t); err != nil {
+				return err
+			}
+		}
+	}
+	if err := it.Err(); err != nil {
+		return fmt.Errorf("join: decode: %w", err)
+	}
+	return nil
+}
+
 // drain flushes one bucket's pending blocks.
 func (pt *partitioner) drain(p *sim.Proc, bkt int) error {
 	blks := pt.pending[bkt]
@@ -247,7 +323,10 @@ func (pt *partitioner) drain(p *sim.Proc, bkt int) error {
 	}
 	pt.pending[bkt] = nil
 	pt.produced[bkt] += int64(len(blks))
-	return pt.flush(p, bkt, blks)
+	err := pt.flush(p, bkt, blks)
+	clear(blks) // the flushed blocks belong to the file now
+	pt.pending[bkt] = blks[:0]
+	return err
 }
 
 // finish packs partially filled blocks and flushes every bucket.

@@ -120,8 +120,7 @@ func (p *Proc) Await(c *Completion) (Duration, error) {
 	}
 	if !c.posted {
 		c.waiter = p
-		p.state = stateBlocked
-		p.blockedOn = "io:" + c.desc
+		p.blockOn("io:", c.desc)
 		p.block()
 		if !c.posted {
 			panic("sim: proc resumed before completion was integrated")

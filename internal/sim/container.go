@@ -60,8 +60,7 @@ func (c *Container) Get(p *Proc, n int64) {
 		return
 	}
 	c.getters = append(c.getters, contWait{p, n})
-	p.state = stateBlocked
-	p.blockedOn = "container-get:" + c.name
+	p.blockOn("container-get:", c.name)
 	p.block()
 	// The waking side already applied our transaction.
 }
@@ -80,8 +79,7 @@ func (c *Container) Put(p *Proc, n int64) {
 		return
 	}
 	c.putters = append(c.putters, contWait{p, n})
-	p.state = stateBlocked
-	p.blockedOn = "container-put:" + c.name
+	p.blockOn("container-put:", c.name)
 	p.block()
 }
 

@@ -20,7 +20,11 @@
 //   - Proc.StartIO / Proc.Await (async.go) let a proc hand a real OS
 //     operation to a worker goroutine and yield the control token
 //     until the worker posts its completion — the file backend's
-//     bridge between wall-clock transfers and the virtual clock.
+//     bridge between wall-clock transfers and the virtual clock,
+//   - Proc.RunTransfers (task.go) runs fixed acquire-hold-release
+//     device transfers as pooled stackless tasks, stepped by the
+//     kernel with no goroutine, yet scheduled exactly as helper
+//     procs would be.
 //
 // The kernel detects deadlock: if live processes remain but no process
 // is runnable and no event is pending, Run returns an error naming the

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sort"
@@ -62,9 +61,19 @@ type Proc struct {
 	state  procState
 	resume chan struct{}
 	err    error
+	slot   int // index in Kernel.procs while the proc is live
 
-	blockedOn string  // description of what the proc is blocked on
-	waiters   []*Proc // procs blocked in Wait on this proc
+	// blockedOn and blockedName describe what the proc is blocked on:
+	// a fixed kind prefix ("resource:", "wait:", ...) and the name of
+	// the object waited on. deadlockError joins them; nothing else
+	// formats them, so blocking never allocates a description.
+	blockedOn   string
+	blockedName string
+	waiters     []*Proc // procs blocked in Wait on this proc
+
+	// task is the state of a stackless transfer task (task.go); nil
+	// for a proc with its own goroutine.
+	task *task
 }
 
 // Name returns the name given to Spawn.
@@ -90,21 +99,56 @@ type event struct {
 	proc *Proc
 }
 
+// eventHeap is a binary min-heap of events ordered by (t, seq). It is
+// typed, so pushes and pops never box an event the way container/heap
+// does; (t, seq) pairs are unique, so the pop order is the same as any
+// other correct heap's.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].t != h[j].t {
 		return h[i].t < h[j].t
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) peek() event        { return h[0] }
-func (h *eventHeap) popEvent() event   { return heap.Pop(h).(event) }
-func (h *eventHeap) pushEvent(e event) { heap.Push(h, e) }
+
+func (h *eventHeap) push(e event) {
+	s := append(*h, e)
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+	*h = s
+}
+
+func (h *eventHeap) pop() event {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	s[0] = s[n]
+	s[n] = event{} // drop the proc reference from the spare capacity
+	s = s[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && s.less(r, m) {
+			m = r
+		}
+		if !s.less(m, i) {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
+	}
+	*h = s
+	return top
+}
 
 // Kernel is a discrete-event simulation kernel. The zero value is not
 // usable; call NewKernel.
@@ -118,7 +162,16 @@ type Kernel struct {
 	nextSeq int64
 	running bool
 	current *Proc
-	procs   []*Proc
+	// procs holds the live goroutine-backed processes. A finished
+	// proc leaves it; only an error it recorded is kept, in errs.
+	procs []*Proc
+	errs  []procErr
+
+	// tasks holds every stackless task this kernel has allocated, and
+	// taskFree the ones not in use (task.go). Both are bounded by the
+	// peak number of concurrent transfers.
+	tasks    []*Proc
+	taskFree []*Proc
 
 	// asyncState holds the external-completion plumbing (see async.go).
 	asyncState
@@ -126,6 +179,14 @@ type Kernel struct {
 	// EventsProcessed counts kernel scheduling decisions, exposed for
 	// tests and diagnostics.
 	EventsProcessed int64
+}
+
+// procErr is the error a finished proc recorded, keyed by its spawn
+// order so collectErrors reports errors in the order procs were
+// spawned.
+type procErr struct {
+	id  int
+	err error
 }
 
 // NewKernel returns a kernel with the clock at zero and no processes.
@@ -150,6 +211,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 		name:   name,
 		state:  stateReady,
 		resume: make(chan struct{}),
+		slot:   len(k.procs),
 	}
 	k.nextID++
 	k.alive++
@@ -167,14 +229,24 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 func (k *Kernel) finish(p *Proc) {
 	if r := recover(); r != nil {
 		p.err = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
+		k.errs = append(k.errs, procErr{id: p.id, err: p.err})
 	}
+	last := k.procs[len(k.procs)-1]
+	k.procs[p.slot], last.slot = last, p.slot
+	k.procs[len(k.procs)-1] = nil
+	k.procs = k.procs[:len(k.procs)-1]
+	k.done(p)
+	p.waiters = nil
+	k.yieldCh <- struct{}{}
+}
+
+// done marks p finished and wakes the procs waiting on it.
+func (k *Kernel) done(p *Proc) {
 	p.state = stateDone
 	k.alive--
 	for _, w := range p.waiters {
 		k.makeReady(w)
 	}
-	p.waiters = nil
-	k.yieldCh <- struct{}{}
 }
 
 // makeReady moves a blocked process to the ready queue at the current
@@ -185,8 +257,15 @@ func (k *Kernel) makeReady(p *Proc) {
 		return
 	}
 	p.state = stateReady
-	p.blockedOn = ""
+	p.blockedOn, p.blockedName = "", ""
 	k.ready = append(k.ready, p)
+}
+
+// blockOn marks p blocked on the object kind+name. The caller must
+// have enqueued p where it will be woken from.
+func (p *Proc) blockOn(kind, name string) {
+	p.state = stateBlocked
+	p.blockedOn, p.blockedName = kind, name
 }
 
 // block yields control to the kernel and waits to be resumed. The
@@ -202,15 +281,20 @@ func (p *Proc) block() {
 // are treated as zero. Other processes run during the hold, which is
 // how overlapping I/O on independent devices overlaps in virtual time.
 func (p *Proc) Hold(d Duration) {
+	p.k.schedule(p, d)
+	p.block()
+}
+
+// schedule queues p's wakeup d of virtual time from now. Negative
+// durations are treated as zero.
+func (k *Kernel) schedule(p *Proc, d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	k := p.k
 	k.nextSeq++
-	k.events.pushEvent(event{t: k.now + Time(d), seq: k.nextSeq, proc: p})
+	k.events.push(event{t: k.now + Time(d), seq: k.nextSeq, proc: p})
 	p.state = stateHolding
-	p.blockedOn = "hold"
-	p.block()
+	p.blockedOn, p.blockedName = "hold", ""
 }
 
 // Wait blocks until other's body has returned. Waiting on a finished
@@ -218,8 +302,7 @@ func (p *Proc) Hold(d Duration) {
 func (p *Proc) Wait(other *Proc) error {
 	if other.state != stateDone {
 		other.waiters = append(other.waiters, p)
-		p.state = stateBlocked
-		p.blockedOn = "wait:" + other.name
+		p.blockOn("wait:", other.name)
 		p.block()
 	}
 	return other.err
@@ -270,7 +353,7 @@ func (k *Kernel) Run() error {
 			copy(k.ready, k.ready[1:])
 			k.ready = k.ready[:len(k.ready)-1]
 		case len(k.events) > 0:
-			e := k.events.popEvent()
+			e := k.events.pop()
 			if e.t < k.now {
 				return fmt.Errorf("sim: time ran backwards: %v < %v", e.t, k.now)
 			}
@@ -292,6 +375,10 @@ func (k *Kernel) Run() error {
 		}
 		k.EventsProcessed++
 		p.state = stateRunning
+		if p.task != nil {
+			k.step(p)
+			continue
+		}
 		k.current = p
 		p.resume <- struct{}{}
 		<-k.yieldCh
@@ -300,20 +387,21 @@ func (k *Kernel) Run() error {
 }
 
 func (k *Kernel) collectErrors() error {
-	var errs []error
-	for _, p := range k.procs {
-		if p.err != nil {
-			errs = append(errs, p.err)
-		}
+	sort.Slice(k.errs, func(i, j int) bool { return k.errs[i].id < k.errs[j].id })
+	errs := make([]error, len(k.errs))
+	for i, pe := range k.errs {
+		errs[i] = pe.err
 	}
 	return errors.Join(errs...)
 }
 
 func (k *Kernel) deadlockError() error {
 	var blocked []string
-	for _, p := range k.procs {
-		if p.state != stateDone {
-			blocked = append(blocked, fmt.Sprintf("%s(%s on %s)", p.name, p.state, p.blockedOn))
+	for _, set := range [][]*Proc{k.procs, k.tasks} {
+		for _, p := range set {
+			if p.state != stateDone {
+				blocked = append(blocked, fmt.Sprintf("%s(%s on %s%s)", p.name, p.state, p.blockedOn, p.blockedName))
+			}
 		}
 	}
 	sort.Strings(blocked)

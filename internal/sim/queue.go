@@ -39,8 +39,7 @@ func (q *Queue[T]) Send(p *Proc, v T) {
 			panic(fmt.Sprintf("sim: send on closed queue %q", q.name))
 		}
 		q.sendWait = append(q.sendWait, p)
-		p.state = stateBlocked
-		p.blockedOn = "queue-send:" + q.name
+		p.blockOn("queue-send:", q.name)
 		p.block()
 	}
 	if q.closed {
@@ -59,8 +58,7 @@ func (q *Queue[T]) Recv(p *Proc) (v T, ok bool) {
 			return zero, false
 		}
 		q.recvWait = append(q.recvWait, p)
-		p.state = stateBlocked
-		p.blockedOn = "queue-recv:" + q.name
+		p.blockOn("queue-recv:", q.name)
 		p.block()
 	}
 	v = q.items[0]

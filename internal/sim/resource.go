@@ -47,17 +47,25 @@ func (r *Resource) accrue() {
 // Acquire obtains one unit of the resource, blocking FIFO until one is
 // available.
 func (r *Resource) Acquire(p *Proc) {
+	if !r.acquireOrQueue(p) {
+		p.block()
+		// The releasing process already transferred the unit to us.
+	}
+}
+
+// acquireOrQueue takes a unit for p if one is free and no one is
+// queued ahead, reporting whether it did; otherwise it queues p, which
+// the releasing process will make ready already holding the unit.
+func (r *Resource) acquireOrQueue(p *Proc) bool {
 	r.Acquisitions++
 	if r.inUse < r.capacity && len(r.waiters) == 0 {
 		r.accrue()
 		r.inUse++
-		return
+		return true
 	}
 	r.waiters = append(r.waiters, p)
-	p.state = stateBlocked
-	p.blockedOn = "resource:" + r.name
-	p.block()
-	// The releasing process already transferred the unit to us.
+	p.blockOn("resource:", r.name)
+	return false
 }
 
 // TryAcquire obtains a unit if one is immediately available and reports

@@ -114,6 +114,7 @@ type DriveStats struct {
 // which is how read/append contention on one cartridge costs time.
 type Drive struct {
 	name  string
+	dev   string // "tape:<name>": the trace and fault device name
 	k     *sim.Kernel
 	cfg   DriveConfig
 	res   *sim.Resource
@@ -150,7 +151,8 @@ func NewDrive(k *sim.Kernel, name string, cfg DriveConfig) *Drive {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Drive{name: name, k: k, cfg: cfg, res: sim.NewResource(k, "tape:"+name, 1)}
+	dev := "tape:" + name
+	return &Drive{name: name, dev: dev, k: k, cfg: cfg, res: sim.NewResource(k, dev, 1)}
 }
 
 // Name returns the drive name.
@@ -204,7 +206,7 @@ func (d *Drive) observe(p *sim.Proc, t0 sim.Time) {
 // issuing process's phase span.
 func (d *Drive) record(p *sim.Proc, kind trace.Kind, from sim.Time, blocks int64) {
 	d.rec.AddFor(p, trace.Event{
-		Device: "tape:" + d.name, Kind: kind,
+		Device: d.dev, Kind: kind,
 		Start: from, End: p.Now(), Blocks: blocks,
 	})
 }
@@ -343,10 +345,7 @@ func (d *Drive) ReadAt(p *sim.Proc, addr Addr, n int64) ([]block.Block, error) {
 	d.Stats.BlocksRead += n
 	d.met.blocksRead.Add(float64(n))
 	d.observe(p, t0)
-	if corrupt {
-		corruptDelivered(data)
-	}
-	return data, nil
+	return deliver(data, corrupt)
 }
 
 // ReadRegion reads an entire region.
@@ -378,9 +377,6 @@ func (d *Drive) ReadRegionReverse(p *sim.Proc, r Region) ([]block.Block, error) 
 	if err != nil {
 		return nil, err
 	}
-	if corrupt {
-		defer corruptDelivered(data)
-	}
 	// Reverse reading starts at the region's end: position there
 	// (free when the head is already there) and stream backward.
 	end := r.End()
@@ -404,7 +400,7 @@ func (d *Drive) ReadRegionReverse(p *sim.Proc, r Region) ([]block.Block, error) 
 	d.Stats.BlocksRead += r.N
 	d.met.blocksRead.Add(float64(r.N))
 	d.observe(p, t0)
-	return data, nil
+	return deliver(data, corrupt)
 }
 
 // Append writes blocks at the end of data (the tape's scratch space),

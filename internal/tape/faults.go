@@ -21,7 +21,7 @@ func (d *Drive) SetInjector(inj fault.Injector) { d.inj = inj }
 // corrupt=true asks the caller to bit-flip the delivered copy.
 func (d *Drive) consult(p *sim.Proc, write bool, addr Addr, n int64) (corrupt bool, err error) {
 	dec := fault.Decide(d.inj, fault.Op{
-		Device: "tape:" + d.name, Write: write,
+		Device: d.dev, Write: write,
 		Addr: int64(addr), N: n, Now: p.Now(),
 	})
 	if dec.Stall > 0 {
@@ -47,6 +47,21 @@ func (d *Drive) consult(p *sim.Proc, write bool, addr Addr, n int64) (corrupt bo
 // Lost reports whether an injected drive failure has killed this
 // drive's transport.
 func (d *Drive) Lost() bool { return d.lost }
+
+// deliver hands a read's blocks to the caller, bit-flipping one of
+// them first when the injector asked for corruption, and verifies
+// every block's checksum: the one integrity check of a simulated tape
+// read, so stored or delivered corruption surfaces here as
+// block.ErrBadChecksum.
+func deliver(blks []block.Block, corrupt bool) ([]block.Block, error) {
+	if corrupt {
+		corruptDelivered(blks)
+	}
+	if err := block.VerifyAll(blks); err != nil {
+		return nil, err
+	}
+	return blks, nil
+}
 
 // corruptDelivered bit-flips one block of a delivered read without
 // touching the stored data, so a re-read of the same region recovers.
@@ -77,8 +92,8 @@ func NewSharedDrivePair(k *sim.Kernel, nameA, nameB string, cfg DriveConfig) (*D
 		panic(err)
 	}
 	tr := &transport{res: sim.NewResource(k, "tape:"+nameA+"+"+nameB, 1)}
-	a := &Drive{name: nameA, k: k, cfg: cfg, res: tr.res, shared: tr}
-	b := &Drive{name: nameB, k: k, cfg: cfg, res: tr.res, shared: tr}
+	a := &Drive{name: nameA, dev: "tape:" + nameA, k: k, cfg: cfg, res: tr.res, shared: tr}
+	b := &Drive{name: nameB, dev: "tape:" + nameB, k: k, cfg: cfg, res: tr.res, shared: tr}
 	return a, b
 }
 

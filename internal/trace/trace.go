@@ -134,8 +134,9 @@ func (r *Recorder) AddFor(p *sim.Proc, e Event) {
 	r.Events = append(r.Events, e)
 }
 
-// SpanAt returns the phase span open on p, for callers that spawn
-// helper processes and must stamp the helpers' events explicitly.
+// SpanAt returns the phase span open on p, for callers that hand work
+// to stackless transfer tasks and must stamp the tasks' events
+// explicitly.
 func (r *Recorder) SpanAt(p *sim.Proc) int64 {
 	if r == nil || r.Spans == nil {
 		return 0

@@ -115,6 +115,9 @@ type pendingQ struct {
 	arrived time.Time
 	started time.Time
 	ch      chan OnlineResult
+	// seen marks a query whose virtual arrival (q.arrived) the
+	// scheduler has stamped.
+	seen bool
 }
 
 // arrivalWaiter is the armed wakeup of a parked scheduler proc. It is
@@ -300,6 +303,7 @@ func (e *OnlineEngine) park(p *sim.Proc, window time.Duration) {
 func (e *OnlineEngine) nextGroup(p *sim.Proc) []*pendingQ {
 	for {
 		e.mu.Lock()
+		e.stampLocked(p)
 		e.expireLocked()
 		if len(e.queue) == 0 {
 			if e.draining {
@@ -318,6 +322,21 @@ func (e *OnlineEngine) nextGroup(p *sim.Proc) []*pendingQ {
 		e.serving = append(e.serving, grp...)
 		e.mu.Unlock()
 		return grp
+	}
+}
+
+// stampLocked records the virtual arrival of queries the scheduler has
+// not seen yet: the session clock now. Submit runs on a caller's
+// goroutine, which cannot read the session clock, so a query arrives in
+// virtual time when the scheduler first sees it: as it wakes for an
+// idle arrival, or at the end of the step during which it was
+// submitted. Call with e.mu held, from the scheduler proc.
+func (e *OnlineEngine) stampLocked(p *sim.Proc) {
+	for _, pq := range e.queue {
+		if !pq.seen {
+			pq.seen = true
+			pq.q.arrived = sim.Duration(p.Now())
+		}
 	}
 }
 

@@ -1,10 +1,15 @@
 package workload
 
 import (
+	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // collectOnline submits every query of b to the engine and returns the
@@ -237,5 +242,84 @@ func TestOnlineDrainRejects(t *testing.T) {
 	}
 	if err := e.Drain(); err != nil {
 		t.Errorf("second drain: %v", err)
+	}
+}
+
+// queueWaitSum reads the workload_queue_wait_seconds histogram.
+func queueWaitSum(t *testing.T, reg *obs.Registry) (sum float64, count int64) {
+	t.Helper()
+	data, err := reg.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ms []obs.MetricJSON
+	if err := json.Unmarshal(data, &ms); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range ms {
+		if m.Name == "workload_queue_wait_seconds" {
+			return m.Sum, m.Count
+		}
+	}
+	t.Fatal("no workload_queue_wait_seconds series")
+	return 0, 0
+}
+
+// TestOnlineQueueWaitFromArrival: a query submitted to an idle engine
+// after idle time waits for nothing, so the queue-wait histogram and
+// QueryResult.Wait must not count the session clock that elapsed before
+// it arrived (earlier services and charged idle time). The batch
+// histogram, where every query arrives at t=0, still observes Start.
+func TestOnlineQueueWaitFromArrival(t *testing.T) {
+	b := makeBatch(t, MountAware, 0)
+	reg := obs.NewRegistry()
+	b.cfg.Resources.Metrics = reg
+	e, err := StartOnline(OnlineConfig{Config: b.cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var service sim.Duration
+	for _, q := range b.queries[:6] {
+		time.Sleep(5 * time.Millisecond) // idle: charged to the session clock
+		ch, err := e.Submit(OnlineQuery{Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := <-ch
+		if res.Failed {
+			t.Fatalf("query %s failed: %s", res.ID, res.Reason)
+		}
+		if res.Wait > res.Start || res.Wait > service {
+			t.Errorf("query %s: wait %v after %v of earlier service (start %v)", res.ID, res.Wait, service, res.Start)
+		}
+		service += res.End - res.Start
+	}
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	sum, count := queueWaitSum(t, reg)
+	if count != 6 {
+		t.Fatalf("%d queue-wait observations, want 6", count)
+	}
+	if sum > service.Seconds() {
+		t.Fatalf("queue waits sum to %.1fs, more than the %.1fs the session spent serving", sum, service.Seconds())
+	}
+
+	b = makeBatch(t, MountAware, 0)
+	reg = obs.NewRegistry()
+	b.cfg.Resources.Metrics = reg
+	out, err := Run(b.cfg, b.queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var starts float64
+	for _, qr := range out.Queries {
+		if qr.Wait != qr.Start {
+			t.Errorf("batch query %s: wait %v != start %v", qr.ID, qr.Wait, qr.Start)
+		}
+		starts += qr.Start.Seconds()
+	}
+	if sum, _ := queueWaitSum(t, reg); math.Abs(sum-starts) > 1e-6*starts {
+		t.Fatalf("batch queue waits sum to %v, want the sum of starts %v", sum, starts)
 	}
 }

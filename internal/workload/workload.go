@@ -61,6 +61,11 @@ type Query struct {
 	// it. It is never requeued after a device failure: pairs may already
 	// have been streamed to its sink, and a rerun would double-deliver.
 	StopAfter int64
+
+	// arrived is the query's virtual arrival on the session clock, the
+	// base of its queue wait: zero in a batch, where every query
+	// arrives at t=0; stamped by the online engine.
+	arrived sim.Duration
 }
 
 // Policy selects the batch scheduling policy.
@@ -169,7 +174,8 @@ type QueryResult struct {
 	// and the scheduler ran it again on the surviving device complex.
 	Requeued bool
 	// Start and End bound the query's service in virtual time; Wait is
-	// the queue wait (the batch arrives at t=0, so Wait = Start).
+	// the queue wait since the query's virtual arrival (a batch arrives
+	// at t=0, so there Wait = Start).
 	Start, End, Wait sim.Duration
 	// Matches is the output cardinality.
 	Matches int64
@@ -553,7 +559,7 @@ func (en *engine) runSingle(p *sim.Proc, qi int) error {
 	start := sim.Duration(p.Now())
 	sp := en.session.Resources().Spans.Begin(p, "query", obs.A("id", q.ID))
 	defer sp.Close(p)
-	en.queueWait.Observe(start.Seconds())
+	en.queueWait.Observe((start - q.arrived).Seconds())
 
 	for attempt := 0; ; attempt++ {
 		err := en.tryQuery(p, qi, start, attempt > 0)
@@ -575,7 +581,7 @@ func (en *engine) runSingle(p *sim.Proc, qi int) error {
 		en.results[qi] = QueryResult{
 			ID: q.ID, Requested: q.Method, Requeued: attempt > 0,
 			Failed: true, Reason: typedReason(ReasonDeviceFailed, err),
-			Start: start, End: sim.Duration(p.Now()), Wait: start,
+			Start: start, End: sim.Duration(p.Now()), Wait: start - q.arrived,
 		}
 		en.logf(p, "query %s: failed (%v)", q.ID, err)
 		return nil
@@ -597,7 +603,7 @@ func (en *engine) tryQuery(p *sim.Proc, qi int, start sim.Duration, requeued boo
 		en.results[qi] = QueryResult{
 			ID: q.ID, Requested: q.Method, Requeued: requeued,
 			Failed: true, Reason: typedReason(ReasonInfeasible, err),
-			Start: start, End: start, Wait: start,
+			Start: start, End: start, Wait: start - q.arrived,
 		}
 		en.logf(p, "query %s: failed (%v)", q.ID, err)
 		return nil
@@ -637,7 +643,7 @@ func (en *engine) tryQuery(p *sim.Proc, qi int, start sim.Duration, requeued boo
 		ID: q.ID, Requested: q.Method, Method: m.Symbol(),
 		Substituted: substituted, CacheHit: st != nil && st.hit,
 		Requeued: requeued,
-		Start:    start, End: sim.Duration(p.Now()), Wait: start,
+		Start:    start, End: sim.Duration(p.Now()), Wait: start - q.arrived,
 		Matches:    result.Stats.OutputTuples,
 		Stopped:    result.Stats.Stopped,
 		FirstTuple: result.Stats.FirstTuple,
@@ -712,7 +718,7 @@ func (en *engine) runShared(p *sim.Proc, indices []int) error {
 	held := make([]*holdSink, 0, len(indices))
 	for _, qi := range indices {
 		q := en.queries[qi]
-		en.queueWait.Observe(start.Seconds())
+		en.queueWait.Observe((start - q.arrived).Seconds())
 		st, err := en.stagedR(p, q, true)
 		if err != nil {
 			for _, h := range handles {
@@ -775,7 +781,7 @@ func (en *engine) runShared(p *sim.Proc, indices []int) error {
 			ID: q.ID, Requested: q.Method, Method: "SHARED",
 			Substituted: q.Method != "", Shared: true,
 			CacheHit: handles[i].hit,
-			Start:    start, End: end, Wait: start,
+			Start:    start, End: end, Wait: start - q.arrived,
 			Matches:    shared.Matches[i],
 			OutputHash: sinkHash(held[i].inner),
 		}
