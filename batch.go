@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -115,10 +112,8 @@ type BatchReport struct {
 	Queries []BatchQueryResult
 	// Schedule is the engine's deterministic schedule log.
 	Schedule []string
-	// Timeline and DeviceSummary render device activity when the
-	// system was configured with CollectTrace.
-	Timeline, DeviceSummary string
-	// Report carries structured observability when Observe is set.
+	// Report carries structured observability, device timeline
+	// included, when Observe is set.
 	Report *Report
 }
 
@@ -135,32 +130,10 @@ func (s *System) RunBatch(queries []BatchQuery, opts BatchOptions) (*BatchReport
 	if err != nil {
 		return nil, err
 	}
-	runRes := s.res
-	var rec *trace.Recorder
-	if s.cfg.CollectTrace || s.cfg.Observe {
-		rec = &trace.Recorder{}
-		runRes.Trace = rec
+	runRes, err := s.runResources(false)
+	if err != nil {
+		return nil, err
 	}
-	var tracker *obs.Tracker
-	var reg *obs.Registry
-	if s.cfg.Observe {
-		tracker = obs.NewTracker()
-		reg = obs.NewRegistry()
-		runRes.Spans = tracker
-		runRes.Metrics = reg
-	}
-	runRes.Flight = s.flight
-	if s.obs != nil {
-		s.obs.SetSources(reg, s.flight, s.healthSource())
-	}
-	if s.cfg.Faults != "" {
-		sched, err := fault.Parse(s.cfg.Faults)
-		if err != nil {
-			return nil, fmt.Errorf("tapejoin: %w", err)
-		}
-		runRes.Faults = sched
-	}
-	runRes.Recovery.Disabled = s.cfg.DisableRecovery
 
 	cfg := workload.Config{
 		Resources:   runRes,
@@ -219,13 +192,8 @@ func (s *System) RunBatch(queries []BatchQuery, opts BatchOptions) (*BatchReport
 			OutputHash:  qr.OutputHash,
 		})
 	}
-	end := sim.Time(out.Makespan)
-	if s.cfg.CollectTrace {
-		rep.Timeline = rec.Timeline(end, 100)
-		rep.DeviceSummary = rec.Summary(end)
-	}
-	if s.cfg.Observe {
-		rep.Report = newReport(tracker, rec, reg, end)
+	if runRes.Obs != nil {
+		rep.Report = newReport(runRes, sim.Time(out.Makespan))
 	}
 	return rep, nil
 }

@@ -82,19 +82,47 @@ func TestRunBatchPolicies(t *testing.T) {
 	}
 }
 
+// TestRunBatchObserve runs the batch fixture with Observe on and off:
+// the observed run must carry a report, and recording must not change
+// the schedule or any result.
 func TestRunBatchObserve(t *testing.T) {
-	sys, queries, _ := batchFixture(t, true)
-	rep, err := sys.RunBatch(queries, tapejoin.BatchOptions{CacheMB: 16})
-	if err != nil {
-		t.Fatal(err)
+	run := func(observe bool) *tapejoin.BatchReport {
+		sys, queries, _ := batchFixture(t, observe)
+		rep, err := sys.RunBatch(queries, tapejoin.BatchOptions{CacheMB: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
-	if rep.Report == nil {
+	off, on := run(false), run(true)
+	if off.Report != nil {
+		t.Fatal("Observe off but Report set")
+	}
+	if on.Report == nil {
 		t.Fatal("Observe set but Report nil")
 	}
-	metrics := rep.Report.MetricsText()
+	metrics := on.Report.MetricsText()
 	for _, want := range []string{"workload_mounts_total", "workload_cache_hits_total"} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics output missing %s", want)
+		}
+	}
+	if tl := on.Report.Timeline(100); !strings.Contains(tl, "tape:S") {
+		t.Errorf("batch timeline lacks the S drive:\n%s", tl)
+	}
+
+	if on.Makespan != off.Makespan || on.Mounts != off.Mounts {
+		t.Fatalf("observing moved the batch: makespan %v/%v, mounts %d/%d",
+			on.Makespan, off.Makespan, on.Mounts, off.Mounts)
+	}
+	if a, b := strings.Join(on.Schedule, "\n"), strings.Join(off.Schedule, "\n"); a != b {
+		t.Fatalf("observing changed the schedule:\n--- on\n%s\n--- off\n%s", a, b)
+	}
+	for i, q := range on.Queries {
+		o := off.Queries[i]
+		if q.Matches != o.Matches || q.OutputHash != o.OutputHash {
+			t.Errorf("query %s: observed %d matches hash %x, unobserved %d hash %x",
+				q.ID, q.Matches, q.OutputHash, o.Matches, o.OutputHash)
 		}
 	}
 }

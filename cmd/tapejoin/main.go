@@ -89,8 +89,8 @@ func main() {
 	}
 }
 
-// obsOutputs collects the observability flags; any of them enables
-// Config.Observe.
+// obsOutputs collects the observability export flags; any of them,
+// like -timeline, enables Config.Observe.
 type obsOutputs struct {
 	phases                 bool
 	trace, events, metrics string
@@ -106,8 +106,7 @@ func run(cfg tapejoin.Config, method string, rMB, sMB int64, compress int,
 	limit, stopAfter int64, obsOut obsOutputs) error {
 
 	cfg.SplitBuffering = split
-	cfg.CollectTrace = timeline
-	cfg.Observe = obsOut.enabled()
+	cfg.Observe = timeline || obsOut.enabled()
 	cfg.Faults = faults
 	cfg.DisableRecovery = noRecover
 	switch compress {
@@ -207,9 +206,9 @@ func run(cfg tapejoin.Config, method string, rMB, sMB int64, compress int,
 
 	if timeline {
 		fmt.Println("\ndevice timeline (r=read w=write s=seek x=exchange . idle):")
-		fmt.Print(res.Timeline)
+		fmt.Print(res.Report.Timeline(100))
 		fmt.Println("\nper-device busy breakdown:")
-		fmt.Print(res.DeviceSummary)
+		fmt.Print(res.Report.DeviceSummary())
 		fmt.Println()
 	}
 

@@ -90,3 +90,39 @@ func TestConfigDisableRecoveryMakesFaultsFatal(t *testing.T) {
 		t.Fatal("transient fault with recovery disabled should fail the join")
 	}
 }
+
+// TestRunQueryHonorsFaultConfig pins that RunQuery runs under the same
+// run context as Join: Config.Faults reaches its devices (a stalled,
+// retried query takes longer than a clean one) and DisableRecovery
+// makes the first fault fatal.
+func TestRunQueryHonorsFaultConfig(t *testing.T) {
+	query := func(faults string, noRecover bool) (*QueryResult, error) {
+		sys, err := NewSystem(Config{
+			MemoryMB: 4, DiskMB: 32,
+			Faults: faults, DisableRecovery: noRecover,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		accounts, events := buildTypedTables(t, sys)
+		return sys.RunQuery(QuerySpec{R: accounts, S: events, Method: CDTGH})
+	}
+	clean, err := query("", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted, err := query("stall=disk:5s:3,transient=S:3:1", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if faulted.Count != clean.Count {
+		t.Fatalf("faulted query count %d, clean %d", faulted.Count, clean.Count)
+	}
+	if faulted.Response <= clean.Response {
+		t.Fatalf("faulted response %v not above clean %v: fault spec never reached the devices",
+			faulted.Response, clean.Response)
+	}
+	if _, err := query("transient=S:3:1", true); err == nil {
+		t.Fatal("transient fault with recovery disabled should fail the query")
+	}
+}

@@ -18,7 +18,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tape"
-	"repro/internal/trace"
 )
 
 // Type aliases re-export the shared vocabulary types so join code can
@@ -39,6 +38,9 @@ type (
 	DiskStats = disk.Stats
 	// StoreConfig describes a scratch store's geometry and rates.
 	StoreConfig = disk.Config
+	// Hooks is the run context a device attaches to: event collector,
+	// metrics registry and fault injector, each optional.
+	Hooks = fault.Hooks
 )
 
 // ErrDiskFull is the store-out-of-space sentinel shared by every
@@ -108,12 +110,9 @@ type Drive interface {
 	BusyTime() sim.Duration
 	// DriveStats snapshots the drive's cumulative activity counters.
 	DriveStats() DriveStats
-	// SetRecorder attaches an I/O event recorder (nil disables).
-	SetRecorder(r *trace.Recorder)
-	// SetMetrics registers the drive's counters in reg (nil detaches).
-	SetMetrics(reg *obs.Registry)
-	// SetInjector attaches a fault injector (nil disables).
-	SetInjector(inj fault.Injector)
+	// Attach connects the drive's I/O events, metric series and fault
+	// injection to h; nil fields disable each.
+	Attach(h Hooks)
 	// Close releases the drive's OS resources (I/O worker, scratch
 	// files); a no-op for purely virtual backends. Safe to call more
 	// than once.
@@ -166,12 +165,9 @@ type Store interface {
 	DeadDisks() []int
 	// LiveDisks counts surviving drives.
 	LiveDisks() int
-	// SetRecorder attaches an I/O event recorder (nil disables).
-	SetRecorder(r *trace.Recorder)
-	// SetMetrics registers the store's counters in reg (nil detaches).
-	SetMetrics(reg *obs.Registry)
-	// SetInjector attaches a fault injector (nil disables).
-	SetInjector(inj fault.Injector)
+	// Attach connects the store's I/O events, metric series and fault
+	// injection to h; nil fields disable each.
+	Attach(h Hooks)
 	// Close releases the store's OS resources (I/O worker, scratch
 	// files); a no-op for purely virtual backends. Safe to call more
 	// than once.

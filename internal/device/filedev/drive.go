@@ -11,7 +11,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/tape"
 )
 
 // Drive is a file-backed tape drive: the mounted medium's blocks live
@@ -25,7 +25,7 @@ import (
 // wall-clock time.
 type Drive struct {
 	name string
-	dev  string // "tape:<name>": the trace and fault device name
+	dev  string // "tape:<name>": the event and fault device name
 	k    *sim.Kernel
 	cfg  device.DriveConfig
 	res  *sim.Resource
@@ -44,21 +44,12 @@ type Drive struct {
 	shared *transport
 	closed bool
 
-	rec   *trace.Recorder
-	met   driveMetrics
+	tr    *obs.Tracker
+	met   tape.DriveMetrics
 	stats device.DriveStats
 }
 
 var _ device.Drive = (*Drive)(nil)
-
-// driveMetrics mirrors the simulator drive's exported series so
-// dashboards and trace checks work unchanged across backends.
-type driveMetrics struct {
-	blocksRead    *obs.Counter
-	blocksWritten *obs.Counter
-	seeks         *obs.Counter
-	latency       *obs.Histogram
-}
 
 // Name implements device.Drive.
 func (d *Drive) Name() string { return d.name }
@@ -75,27 +66,13 @@ func (d *Drive) BusyTime() sim.Duration { return d.res.BusyTime }
 // DriveStats implements device.Drive.
 func (d *Drive) DriveStats() device.DriveStats { return d.stats }
 
-// SetRecorder implements device.Drive.
-func (d *Drive) SetRecorder(r *trace.Recorder) { d.rec = r }
-
-// SetInjector implements device.Drive.
-func (d *Drive) SetInjector(inj fault.Injector) { d.inj = inj }
-
-// SetMetrics implements device.Drive.
-func (d *Drive) SetMetrics(reg *obs.Registry) {
-	d.w.SetMetrics(reg)
-	if reg == nil {
-		d.met = driveMetrics{}
-		return
-	}
-	l := obs.A("drive", d.name)
-	d.met = driveMetrics{
-		blocksRead:    reg.Counter("tape_blocks_read_total", "Blocks read from tape.", l),
-		blocksWritten: reg.Counter("tape_blocks_written_total", "Blocks written to tape.", l),
-		seeks:         reg.Counter("tape_seeks_total", "Head repositioning seeks.", l),
-		latency: reg.Histogram("tape_request_seconds",
-			"Latency of tape requests, queueing included.", obs.DeviceLatencyBuckets, l),
-	}
+// Attach implements device.Drive. The drive registers the simulator
+// drive's series (tape.NewDriveMetrics), so dashboards and trace
+// checks work unchanged across backends.
+func (d *Drive) Attach(h device.Hooks) {
+	d.w.SetMetrics(h.Metrics)
+	d.tr, d.inj = h.Obs, h.Faults
+	d.met = tape.NewDriveMetrics(h.Metrics, d.name)
 }
 
 // Load implements device.Drive: it respools the medium's current
@@ -189,7 +166,7 @@ func (d *Drive) consult(p *sim.Proc, write bool, addr device.Addr, n int64) (boo
 		d.stats.StallTime += dec.Stall
 		t0 := p.Now()
 		p.Hold(dec.Stall)
-		d.record(p, trace.Fault, t0, 0)
+		d.record(p, obs.Fault, t0, 0)
 	}
 	if dec.Err != nil {
 		d.stats.InjectedFaults++
@@ -208,9 +185,9 @@ func (d *Drive) consult(p *sim.Proc, write bool, addr device.Addr, n int64) (boo
 	return dec.Corrupt, nil
 }
 
-// record emits a trace event spanning [from, now].
-func (d *Drive) record(p *sim.Proc, kind trace.Kind, from sim.Time, blocks int64) {
-	d.rec.AddFor(p, trace.Event{
+// record emits a device event spanning [from, now].
+func (d *Drive) record(p *sim.Proc, kind obs.Kind, from sim.Time, blocks int64) {
+	d.tr.Record(p, obs.Event{
 		Device: d.dev, Kind: kind,
 		Start: from, End: p.Now(), Blocks: blocks,
 	})
@@ -235,10 +212,10 @@ func (d *Drive) seekTo(p *sim.Proc, addr device.Addr, wantReverse bool) {
 		if st > 0 {
 			d.stats.Seeks++
 			d.stats.SeekTime += st
-			d.met.seeks.Inc()
+			d.met.Seeks.Inc()
 			t0 := p.Now()
 			p.Hold(st)
-			d.record(p, trace.TapeSeek, t0, 0)
+			d.record(p, obs.TapeSeek, t0, 0)
 		}
 		d.pos = addr
 	}
@@ -248,7 +225,7 @@ func (d *Drive) seekTo(p *sim.Proc, addr device.Addr, wantReverse bool) {
 // transfer runs one planned spool operation through the drive's
 // worker (or inline when synchronous) and charges its measured wall
 // duration, updating the counters shared by every read/write path.
-func (d *Drive) transfer(p *sim.Proc, kind trace.Kind, entered sim.Time, n int64, write bool, op func() error) error {
+func (d *Drive) transfer(p *sim.Proc, kind obs.Kind, entered sim.Time, n int64, write bool, op func() error) error {
 	tx := p.Now()
 	elapsed, err := doIO(p, d.w, paced(d.b.pace(d.cfg.EffectiveRate(), n), op))
 	switch {
@@ -267,13 +244,13 @@ func (d *Drive) transfer(p *sim.Proc, kind trace.Kind, entered sim.Time, n int64
 	d.stats.Requests++
 	if write {
 		d.stats.BlocksWritten += n
-		d.met.blocksWritten.Add(float64(n))
+		d.met.BlocksWritten.Add(float64(n))
 	} else {
 		d.stats.BlocksRead += n
-		d.met.blocksRead.Add(float64(n))
+		d.met.BlocksRead.Add(float64(n))
 	}
 	d.record(p, kind, tx, n)
-	d.met.latency.Observe(sim.Duration(p.Now() - entered).Seconds())
+	d.met.Latency.Observe(sim.Duration(p.Now() - entered).Seconds())
 	return nil
 }
 
@@ -299,7 +276,7 @@ func (d *Drive) ReadAt(p *sim.Proc, addr device.Addr, n int64) ([]block.Block, e
 		return nil, err
 	}
 	flipDelivered(plan, corrupt)
-	if err := d.transfer(p, trace.TapeRead, entered, n, false, func() error {
+	if err := d.transfer(p, obs.TapeRead, entered, n, false, func() error {
 		return d.spool.execReads(plan)
 	}); err != nil {
 		return nil, err
@@ -340,7 +317,7 @@ func (d *Drive) ReadRegionReverse(p *sim.Proc, r device.Region) ([]block.Block, 
 		return nil, err
 	}
 	flipDelivered(plan, corrupt)
-	if err := d.transfer(p, trace.TapeRead, entered, r.N, false, func() error {
+	if err := d.transfer(p, obs.TapeRead, entered, r.N, false, func() error {
 		return d.spool.execReads(plan)
 	}); err != nil {
 		return nil, err
@@ -373,7 +350,7 @@ func (d *Drive) Append(p *sim.Proc, blks []block.Block) (device.Region, error) {
 	if err != nil {
 		return device.Region{}, err
 	}
-	if err := d.transfer(p, trace.TapeWrite, entered, reg.N, true, func() error {
+	if err := d.transfer(p, obs.TapeWrite, entered, reg.N, true, func() error {
 		return d.spool.execWrites(plan)
 	}); err != nil {
 		return device.Region{}, err
@@ -403,7 +380,7 @@ func (d *Drive) WriteAt(p *sim.Proc, addr device.Addr, blks []block.Block) error
 	if err != nil {
 		return err
 	}
-	if err := d.transfer(p, trace.TapeWrite, entered, int64(len(blks)), true, func() error {
+	if err := d.transfer(p, obs.TapeWrite, entered, int64(len(blks)), true, func() error {
 		return d.spool.execWrites(plan)
 	}); err != nil {
 		return err

@@ -39,7 +39,7 @@ func TestStoreOSErrorRetriedByWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetInjector(sched)
+	s.Attach(device.Hooks{Faults: sched})
 	run(t, k, func(p *sim.Proc) {
 		f, err := s.Create("scratch", nil)
 		if err != nil {
@@ -73,7 +73,7 @@ func TestStoreFlipStoredSurfacesErrCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetInjector(sched)
+	s.Attach(device.Hooks{Faults: sched})
 	run(t, k, func(p *sim.Proc) {
 		f, err := s.Create("scratch", nil)
 		if err != nil {
@@ -106,11 +106,11 @@ func TestStoreCorruptOnReadSurfacesErrCorrupt(t *testing.T) {
 		}
 		// Arm after the append so the flip strikes the read delivery.
 		sched := (&fault.Schedule{}).AddFlipStored("disk", 0, 1)
-		s.SetInjector(readFlipper{sched})
+		s.Attach(device.Hooks{Faults: readFlipper{sched}})
 		if _, err := f.ReadAt(p, 0, 3); !errors.Is(err, device.ErrCorrupt) {
 			t.Fatalf("read with flipped delivery: %v, want device.ErrCorrupt", err)
 		}
-		s.SetInjector(nil)
+		s.Attach(device.Hooks{})
 		blks, err := f.ReadAt(p, 0, 3)
 		if err != nil || len(blks) != 3 {
 			t.Fatalf("re-read after transient delivery corruption: %v", err)
@@ -146,7 +146,7 @@ func TestStoreTornWriteTruncatedTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Tear the final record: the file ends mid-payload.
-		s.SetInjector((&fault.Schedule{}).AddTornWrite("disk", 2, 1))
+		s.Attach(device.Hooks{Faults: (&fault.Schedule{}).AddTornWrite("disk", 2, 1)})
 		if err := f.Append(p, mkBlocks(1, 1, 100)); err != nil {
 			t.Fatalf("torn write must report success: %v", err)
 		}
@@ -181,14 +181,14 @@ func TestDriveOSFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.SetInjector(sched)
+		d.Attach(device.Hooks{Faults: sched})
 		blks, err := d.ReadAt(p, 0, 6)
 		if err != nil || len(blks) != 6 {
 			t.Fatalf("read with retryable OS error: %v (%d blocks)", err, len(blks))
 		}
 		// A flip on the spool's stored copy: WriteAt repoints block 2 to
 		// a fresh record whose stored bytes are damaged in flight.
-		d.SetInjector((&fault.Schedule{}).AddFlipStored("tape:R", 2, 1))
+		d.Attach(device.Hooks{Faults: (&fault.Schedule{}).AddFlipStored("tape:R", 2, 1)})
 		if err := d.WriteAt(p, 2, mkBlocks(2, 1, 200)); err != nil {
 			t.Fatalf("flipped write must report success: %v", err)
 		}
@@ -212,7 +212,7 @@ func TestStallTimeoutsTripBreaker(t *testing.T) {
 	b.RetryMax = -1
 	k := sim.NewKernel()
 	s := newStore(t, b, k)
-	s.SetInjector((&fault.Schedule{}).AddWallStall("disk", 60*time.Millisecond, 50))
+	s.Attach(device.Hooks{Faults: (&fault.Schedule{}).AddWallStall("disk", 60*time.Millisecond, 50)})
 	run(t, k, func(p *sim.Proc) {
 		f, err := s.Create("scratch", nil)
 		if err != nil {
@@ -240,7 +240,7 @@ func TestStallRecoveredByRetry(t *testing.T) {
 	b.OpTimeout = 5 * time.Millisecond
 	k := sim.NewKernel()
 	s := newStore(t, b, k)
-	s.SetInjector((&fault.Schedule{}).AddWallStall("disk", 30*time.Millisecond, 1))
+	s.Attach(device.Hooks{Faults: (&fault.Schedule{}).AddWallStall("disk", 30*time.Millisecond, 1)})
 	run(t, k, func(p *sim.Proc) {
 		f, err := s.Create("scratch", nil)
 		if err != nil {
@@ -269,7 +269,7 @@ func TestSyncPathIgnoresDeadlines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetInjector(sched)
+	s.Attach(device.Hooks{Faults: sched})
 	run(t, k, func(p *sim.Proc) {
 		f, err := s.Create("scratch", nil)
 		if err != nil {
@@ -308,7 +308,7 @@ func TestFrameCheckIsTheOneIntegrityCheck(t *testing.T) {
 		if _, err := d.ReadAt(p, 3, 2); !errors.Is(err, device.ErrCorrupt) {
 			t.Fatalf("read of a block stored bad on the medium: %v, want device.ErrCorrupt", err)
 		}
-		d.SetInjector((&fault.Schedule{}).AddCorrupt("tape:R", 1, 1))
+		d.Attach(device.Hooks{Faults: (&fault.Schedule{}).AddCorrupt("tape:R", 1, 1)})
 		if _, err := d.ReadAt(p, 0, 3); !errors.Is(err, device.ErrCorrupt) {
 			t.Fatalf("read with an injected delivery flip: %v, want device.ErrCorrupt", err)
 		}

@@ -9,10 +9,10 @@ import (
 	"repro/internal/block"
 	"repro/internal/device"
 	"repro/internal/device/ioengine"
+	"repro/internal/disk"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Store is file-backed disk scratch: every logical file is one OS
@@ -39,20 +39,12 @@ type Store struct {
 	stats      device.DiskStats
 	closed     bool
 
-	rec *trace.Recorder
-	met storeMetrics
+	tr  *obs.Tracker
+	met disk.Metrics
 	inj fault.Injector
 }
 
 var _ device.Store = (*Store)(nil)
-
-// storeMetrics mirrors the simulator array's exported series.
-type storeMetrics struct {
-	blocksRead    *obs.Counter
-	blocksWritten *obs.Counter
-	latency       *obs.Histogram
-	used          *obs.Gauge
-}
 
 // Config implements device.Store.
 func (s *Store) Config() device.StoreConfig { return s.cfg }
@@ -86,26 +78,12 @@ func (s *Store) DeadDisks() []int { return nil }
 // LiveDisks implements device.Store.
 func (s *Store) LiveDisks() int { return s.cfg.NumDisks }
 
-// SetRecorder implements device.Store.
-func (s *Store) SetRecorder(r *trace.Recorder) { s.rec = r }
-
-// SetInjector implements device.Store.
-func (s *Store) SetInjector(inj fault.Injector) { s.inj = inj }
-
-// SetMetrics implements device.Store.
-func (s *Store) SetMetrics(reg *obs.Registry) {
-	s.w.SetMetrics(reg)
-	if reg == nil {
-		s.met = storeMetrics{}
-		return
-	}
-	s.met = storeMetrics{
-		blocksRead:    reg.Counter("disk_blocks_read_total", "Blocks read from the disk array."),
-		blocksWritten: reg.Counter("disk_blocks_written_total", "Blocks written to the disk array."),
-		latency: reg.Histogram("disk_request_seconds",
-			"Latency of disk requests.", obs.DeviceLatencyBuckets),
-		used: reg.Gauge("disk_used_blocks", "Blocks currently allocated on the array."),
-	}
+// Attach implements device.Store. The store registers the simulator
+// array's series (disk.NewMetrics).
+func (s *Store) Attach(h device.Hooks) {
+	s.w.SetMetrics(h.Metrics)
+	s.tr, s.inj = h.Obs, h.Faults
+	s.met = disk.NewMetrics(h.Metrics)
 }
 
 // Create implements device.Store. placement is accepted for interface
@@ -133,7 +111,7 @@ func (s *Store) charge(n int64) error {
 	if s.used > s.high {
 		s.high = s.used
 	}
-	s.met.used.Set(float64(s.used))
+	s.met.Used.Set(float64(s.used))
 	return nil
 }
 
@@ -148,7 +126,7 @@ func (s *Store) consult(p *sim.Proc, name string, rf *recFile, write bool, off, 
 		s.stats.StallTime += dec.Stall
 		t0 := p.Now()
 		p.Hold(dec.Stall)
-		s.rec.AddFor(p, trace.Event{Device: "disk", Kind: trace.Fault, Start: t0, End: p.Now(), Note: "stall"})
+		s.tr.Record(p, obs.Event{Device: "disk", Kind: obs.Fault, Start: t0, End: p.Now(), Note: "stall"})
 	}
 	if dec.Err != nil {
 		s.stats.Faults++
@@ -186,24 +164,24 @@ func (s *Store) transfer(p *sim.Proc, n int64, write bool, op func() error) erro
 	s.stats.TransferTime += elapsed
 	if write {
 		s.stats.BlocksWritten += n
-		s.met.blocksWritten.Add(float64(n))
+		s.met.BlocksWritten.Add(float64(n))
 	} else {
 		s.stats.BlocksRead += n
-		s.met.blocksRead.Add(float64(n))
+		s.met.BlocksRead.Add(float64(n))
 	}
-	s.rec.AddFor(p, trace.Event{
+	s.tr.Record(p, obs.Event{
 		Device: "disk", Kind: kindOf(write),
 		Start: tx, End: p.Now(), Blocks: n,
 	})
-	s.met.latency.Observe(sim.Duration(p.Now() - tx).Seconds())
+	s.met.Latency.Observe(sim.Duration(p.Now() - tx).Seconds())
 	return nil
 }
 
-func kindOf(write bool) trace.Kind {
+func kindOf(write bool) obs.Kind {
 	if write {
-		return trace.DiskWrite
+		return obs.DiskWrite
 	}
-	return trace.DiskRead
+	return obs.DiskRead
 }
 
 // Close implements device.Store: it stops the store's I/O worker and
@@ -301,7 +279,7 @@ func (f *File) Free() {
 	}
 	f.freed = true
 	f.s.used -= f.Len()
-	f.s.met.used.Set(float64(f.s.used))
+	f.s.met.Used.Set(float64(f.s.used))
 	f.rf.close()
 	if f.path != "" {
 		os.Remove(f.path)

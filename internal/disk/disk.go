@@ -16,7 +16,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Config sets the performance and capacity model of a disk array.
@@ -97,7 +96,7 @@ type Stats struct {
 type dev struct {
 	a    *Array
 	id   int
-	name string // "disk<id>": the resource, trace and fault device name
+	name string // "disk<id>": the resource, event and fault device name
 	res  *sim.Resource
 	used int64
 	dead bool // permanently failed; extents on it are lost
@@ -114,8 +113,8 @@ type Array struct {
 	HighWater int64
 	Stats     Stats
 
-	rec      *trace.Recorder
-	met      arrayMetrics
+	tr       *obs.Tracker
+	met      Metrics
 	inj      fault.Injector
 	nextFile int
 
@@ -129,13 +128,30 @@ type Array struct {
 	xfers []sim.Transfer
 }
 
-// arrayMetrics are the array's series exported to an obs.Registry.
-// The handles are nil-safe, so instrumentation calls unconditionally.
-type arrayMetrics struct {
-	blocksRead    *obs.Counter
-	blocksWritten *obs.Counter
-	latency       *obs.Histogram
-	used          *obs.Gauge
+// Metrics are a scratch store's series in an obs.Registry. Every
+// backend's stores register these, so dashboards and trace checks see
+// the same names. The handles are nil-safe, so instrumentation calls
+// unconditionally.
+type Metrics struct {
+	BlocksRead    *obs.Counter
+	BlocksWritten *obs.Counter
+	Latency       *obs.Histogram
+	Used          *obs.Gauge
+}
+
+// NewMetrics registers the store series in reg; a nil reg yields nil
+// handles.
+func NewMetrics(reg *obs.Registry) Metrics {
+	if reg == nil {
+		return Metrics{}
+	}
+	return Metrics{
+		BlocksRead:    reg.Counter("disk_blocks_read_total", "Blocks read from the disk array."),
+		BlocksWritten: reg.Counter("disk_blocks_written_total", "Blocks written to the disk array."),
+		Latency: reg.Histogram("disk_request_seconds",
+			"Virtual latency of per-drive disk requests.", obs.DeviceLatencyBuckets),
+		Used: reg.Gauge("disk_used_blocks", "Blocks currently allocated on the array."),
+	}
 }
 
 // NewArray returns an array attached to the kernel.
@@ -154,27 +170,12 @@ func NewArray(k *sim.Kernel, cfg Config) (*Array, error) {
 // Config returns the array configuration.
 func (a *Array) Config() Config { return a.cfg }
 
-// SetRecorder attaches an event recorder (nil disables tracing).
-func (a *Array) SetRecorder(r *trace.Recorder) { a.rec = r }
-
-// SetInjector attaches a fault injector consulted on every file
-// operation (nil disables injection).
-func (a *Array) SetInjector(inj fault.Injector) { a.inj = inj }
-
-// SetMetrics registers the array's counters, per-request latency
-// histogram, and occupancy gauge in reg (nil detaches).
-func (a *Array) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		a.met = arrayMetrics{}
-		return
-	}
-	a.met = arrayMetrics{
-		blocksRead:    reg.Counter("disk_blocks_read_total", "Blocks read from the disk array."),
-		blocksWritten: reg.Counter("disk_blocks_written_total", "Blocks written to the disk array."),
-		latency: reg.Histogram("disk_request_seconds",
-			"Virtual latency of per-drive disk requests.", obs.DeviceLatencyBuckets),
-		used: reg.Gauge("disk_used_blocks", "Blocks currently allocated on the array."),
-	}
+// Attach connects the array to a run's event collector, metric
+// registry and fault injector (device.Hooks), the injector being
+// consulted on every file operation; nil fields disable each.
+func (a *Array) Attach(h fault.Hooks) {
+	a.tr, a.inj = h.Obs, h.Faults
+	a.met = NewMetrics(h.Metrics)
 }
 
 // DeadDisks returns the ids of permanently failed drives, in order.
@@ -204,15 +205,15 @@ func (a *Array) LiveDisks() int {
 // captured by the requester, because striped requests run on
 // stackless tasks that carry no span stack of their own.
 func (d *dev) TransferDone(p *sim.Proc, x *sim.Transfer, start sim.Time) {
-	kind := trace.DiskRead
+	kind := obs.DiskRead
 	if x.Write {
-		kind = trace.DiskWrite
+		kind = obs.DiskWrite
 	}
-	d.a.rec.AddFor(p, trace.Event{
+	d.a.tr.Record(p, obs.Event{
 		Device: d.name, Kind: kind,
 		Start: start, End: p.Now(), Blocks: x.Blocks, Span: x.Span,
 	})
-	d.a.met.latency.Observe(sim.Duration(p.Now() - start).Seconds())
+	d.a.met.Latency.Observe(sim.Duration(p.Now() - start).Seconds())
 }
 
 // TotalCapacity returns the array capacity in blocks across surviving
@@ -364,8 +365,8 @@ func (a *Array) markDead(p *sim.Proc, id int) {
 		return
 	}
 	d.dead = true
-	a.rec.AddFor(p, trace.Event{
-		Device: d.name, Kind: trace.Fault,
+	a.tr.Record(p, obs.Event{
+		Device: d.name, Kind: obs.Fault,
 		Start: p.Now(), End: p.Now(), Note: "disk lost",
 	})
 }
@@ -397,7 +398,7 @@ func (f *File) checkFaults(p *sim.Proc, off, n int64, write bool) (corrupt bool,
 		f.a.Stats.StallTime += dec.Stall
 		t0 := p.Now()
 		p.Hold(dec.Stall)
-		f.a.rec.AddFor(p, trace.Event{Device: "disk", Kind: trace.Fault, Start: t0, End: p.Now(), Note: "stall"})
+		f.a.tr.Record(p, obs.Event{Device: "disk", Kind: obs.Fault, Start: t0, End: p.Now(), Note: "stall"})
 	}
 	if dec.Err != nil {
 		f.a.Stats.Faults++
@@ -446,7 +447,7 @@ func (f *File) doIO(p *sim.Proc, off, n int64, write bool) {
 			singles++
 		}
 	}
-	span := a.rec.SpanAt(p)
+	span := a.tr.ActiveSpan(p)
 	xs := a.xfers[:0]
 	for i, d := range f.disks {
 		if sh[i] == 0 {
@@ -476,10 +477,10 @@ func (f *File) doIO(p *sim.Proc, off, n int64, write bool) {
 	}
 	if write {
 		a.Stats.BlocksWritten += n
-		a.met.blocksWritten.Add(float64(n))
+		a.met.BlocksWritten.Add(float64(n))
 	} else {
 		a.Stats.BlocksRead += n
-		a.met.blocksRead.Add(float64(n))
+		a.met.BlocksRead.Add(float64(n))
 	}
 }
 
@@ -570,7 +571,7 @@ func (f *File) charge(n int64) error {
 	if f.a.Used > f.a.HighWater {
 		f.a.HighWater = f.a.Used
 	}
-	f.a.met.used.Set(float64(f.a.Used))
+	f.a.met.Used.Set(float64(f.a.Used))
 	return nil
 }
 
@@ -632,7 +633,7 @@ func (f *File) Free() {
 		}
 	}
 	f.a.Used -= int64(len(f.blocks))
-	f.a.met.used.Set(float64(f.a.Used))
+	f.a.met.Used.Set(float64(f.a.Used))
 	f.blocks = nil
 	f.perDisk = nil
 	f.freed = true

@@ -6,6 +6,17 @@ import (
 	"repro/internal/obs"
 )
 
+// Hooks is the run context a device attaches to: the collector its
+// I/O events go to, the registry its series register in, and the fault
+// schedule it consults. Any field may be nil. It lives here, the
+// lowest package that knows both obs and Injector, so the tape and
+// disk simulators can take it; package device re-exports it.
+type Hooks struct {
+	Obs     *obs.Tracker
+	Metrics *obs.Registry
+	Faults  Injector
+}
+
 // instrumented wraps an Injector, counting its decisions by outcome in
 // an obs.Registry and recording injected stall durations.
 type instrumented struct {

@@ -330,6 +330,7 @@ func (DTGH) run(e *env, p *sim.Proc) error {
 	}
 	// Step I: hash R from tape to disk buckets, restartable as one unit.
 	var fRB []device.File
+	defer func() { freeAll(fRB) }() // every exit, a stopped run's included
 	var skp *hashutil.SkewPlan
 	ensure := func(up *sim.Proc) error { return e.ensureRBuckets(up, plan, &fRB, &skp) }
 	if err := e.runUnit(p, "hash-R", ensure); err != nil {
@@ -341,14 +342,9 @@ func (DTGH) run(e *env, p *sim.Proc) error {
 	// (partitioning an n-block chunk can emit up to n + B blocks — one
 	// partial per bucket — so each chunk leaves that slack). S follows
 	// R's final partition map, skew-refined or not.
-	err = ghStepIISeq(e, p, plan, probeLayout(plan, skp, e.res.MemoryBlocks), 0, ensure,
+	return ghStepIISeq(e, p, plan, probeLayout(plan, skp, e.res.MemoryBlocks), 0, ensure,
 		func(b int) bucketSource { return diskBucket{fRB[b]} },
 		func() int64 { return totalLen(fRB) })
-	if err != nil {
-		return err
-	}
-	freeAll(fRB)
-	return nil
 }
 
 // CDTGH is Concurrent Disk–Tape Grace Hash Join (Section 5.1.4): as
@@ -374,6 +370,7 @@ func (CDTGH) run(e *env, p *sim.Proc) error {
 		return err
 	}
 	var fRB []device.File
+	defer func() { freeAll(fRB) }() // every exit, a stopped run's included
 	var skp *hashutil.SkewPlan
 	ensure := func(up *sim.Proc) error { return e.ensureRBuckets(up, plan, &fRB, &skp) }
 	if err := e.runUnit(p, "hash-R", ensure); err != nil {
@@ -451,7 +448,6 @@ func (CDTGH) run(e *env, p *sim.Proc) error {
 			return err
 		}
 	}
-	freeAll(fRB)
 	return nil
 }
 

@@ -20,7 +20,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Discipline selects the double-buffering scheme for methods that
@@ -85,17 +84,15 @@ type Resources struct {
 	// provably matchless stretches of either input instead of
 	// streaming through them. Off by default.
 	ProbeNarrow bool
-	// Trace, when non-nil, records every device I/O event of the run
-	// for timeline rendering.
-	Trace *trace.Recorder
 	// Faults, when non-nil, is the deterministic fault schedule
 	// injected into the tape drives and disk array.
 	Faults *fault.Schedule
 	// Recovery is the retry/checkpoint/degrade policy.
 	Recovery Recovery
-	// Spans, when non-nil, records hierarchical phase spans; device
-	// events in Trace are stamped with the issuing phase.
-	Spans *obs.Tracker
+	// Obs, when non-nil, is the run's one event collector: it records
+	// hierarchical phase spans and every device I/O event, each event
+	// stamped with the phase that issued it.
+	Obs *obs.Tracker
 	// Metrics, when non-nil, receives device/buffer/fault counters,
 	// gauges and histograms.
 	Metrics *obs.Registry
@@ -353,9 +350,10 @@ type env struct {
 	dbuf    buffer.DoubleBuffer // set by methods that stage S on disk
 	dbufCap int64
 
-	// inj is the (possibly metrics-wrapped) fault injector shared by
-	// the original devices and any replacements built during recovery.
-	inj fault.Injector
+	// hooks is the device run context — collector, registry and the
+	// (possibly metrics-wrapped) fault injector — shared by the
+	// original devices and any replacements built during recovery.
+	hooks device.Hooks
 	// Recovery-path metric handles (nil-safe when Metrics is unset).
 	retryBackoff *obs.Histogram
 	unitRestarts *obs.Counter
@@ -462,7 +460,7 @@ func (e *env) newDoubleBuffer(name string, capacity int64) buffer.DoubleBuffer {
 // span opens a phase span on p; a no-op returning nil when no tracker
 // is attached.
 func (e *env) span(p *sim.Proc, name string, attrs ...obs.Attr) *obs.Span {
-	return e.res.Spans.Begin(p, name, attrs...)
+	return e.res.Obs.Begin(p, name, attrs...)
 }
 
 // markStepI records the end of the setup phase, relative to the

@@ -169,6 +169,7 @@ func (DTNB) Check(spec Spec, res Resources) error {
 
 func (DTNB) run(e *env, p *sim.Proc) error {
 	var fR device.File
+	defer func() { e.freeR(fR) }() // every exit, a stopped run's included
 	ensure := func(up *sim.Proc) error { return e.ensureRFile(up, &fR) }
 	if err := e.runUnit(p, "copy-R", ensure); err != nil {
 		return err
@@ -176,11 +177,7 @@ func (DTNB) run(e *env, p *sim.Proc) error {
 	e.markStepI(p)
 
 	mr, ms := nbSplit(e.res.MemoryBlocks)
-	if err := nbJoinChunks(e, p, &fR, ensure, mr, ms, 0); err != nil {
-		return err
-	}
-	e.freeR(fR)
-	return nil
+	return nbJoinChunks(e, p, &fR, ensure, mr, ms, 0)
 }
 
 // CDTNBMB is Concurrent Disk–Tape Nested Block Join with memory
@@ -210,6 +207,7 @@ func (CDTNBMB) Check(spec Spec, res Resources) error {
 
 func (CDTNBMB) run(e *env, p *sim.Proc) error {
 	var fR device.File
+	defer func() { e.freeR(fR) }() // every exit, a stopped run's included
 	ensure := func(up *sim.Proc) error { return e.ensureRFile(up, &fR) }
 	if err := e.runUnit(p, "copy-R", ensure); err != nil {
 		return err
@@ -300,7 +298,6 @@ func (CDTNBMB) run(e *env, p *sim.Proc) error {
 			return err
 		}
 	}
-	e.freeR(fR)
 	return nil
 }
 
@@ -333,6 +330,7 @@ func (CDTNBDB) Check(spec Spec, res Resources) error {
 
 func (CDTNBDB) run(e *env, p *sim.Proc) error {
 	var fR device.File
+	defer func() { e.freeR(fR) }() // every exit, a stopped run's included
 	ensure := func(up *sim.Proc) error { return e.ensureRFile(up, &fR) }
 	if err := e.runUnit(p, "copy-R", ensure); err != nil {
 		return err
@@ -462,6 +460,5 @@ func (CDTNBDB) run(e *env, p *sim.Proc) error {
 			return err
 		}
 	}
-	e.freeR(fR)
 	return nil
 }

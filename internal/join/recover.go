@@ -11,7 +11,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // ErrFaultExhausted marks a read whose retry budget ran out: the fault
@@ -130,8 +129,8 @@ func (e *env) readDev(p *sim.Proc, kind, name string, read func() ([]block.Block
 		sp := e.span(p, "retry-backoff", obs.A("device", device))
 		t0 := p.Now()
 		p.Hold(hold)
-		e.res.Trace.AddFor(p, trace.Event{
-			Device: device, Kind: trace.Retry,
+		e.res.Obs.Record(p, obs.Event{
+			Device: device, Kind: obs.Retry,
 			Start: t0, End: p.Now(), Note: "read retry backoff",
 		})
 		sp.Close(p)
@@ -233,8 +232,8 @@ func (e *env) runUnit(p *sim.Proc, name string, work func(*sim.Proc) error) erro
 		}
 		e.stats.UnitRestarts++
 		e.unitRestarts.Inc()
-		e.res.Trace.AddFor(p, trace.Event{
-			Device: "-", Kind: trace.Retry,
+		e.res.Obs.Record(p, obs.Event{
+			Device: "-", Kind: obs.Retry,
 			Start: p.Now(), End: p.Now(),
 			Note: fmt.Sprintf("restart %s after: %v", name, err),
 		})
@@ -274,8 +273,8 @@ var degradeCandidates = []string{"DT-GH", "DT-NB", "TT-GH"}
 func (e *env) degradeRerun(p *sim.Proc, cause error) error {
 	e.stats.DriveLost = true
 	replan := e.span(p, "degrade-replan")
-	e.res.Trace.AddFor(p, trace.Event{
-		Device: "-", Kind: trace.Degrade,
+	e.res.Obs.Record(p, obs.Event{
+		Device: "-", Kind: obs.Degrade,
 		Start: p.Now(), End: p.Now(),
 		Note: fmt.Sprintf("drive lost, re-planning: %v", cause),
 	})
@@ -311,12 +310,8 @@ func (e *env) degradeRerun(p *sim.Proc, cause error) error {
 	}
 	dr.Load(e.spec.R.Media)
 	ds.Load(e.spec.S.Media)
-	dr.SetRecorder(e.res.Trace)
-	ds.SetRecorder(e.res.Trace)
-	dr.SetMetrics(e.res.Metrics)
-	ds.SetMetrics(e.res.Metrics)
-	dr.SetInjector(e.inj)
-	ds.SetInjector(e.inj)
+	dr.Attach(e.hooks)
+	ds.Attach(e.hooks)
 	e.driveR, e.driveS = dr, ds
 	e.res.DiskBlocks = e.effectiveD()
 	e.dbuf, e.dbufCap = nil, 0
@@ -359,8 +354,8 @@ func (e *env) degradeRerun(p *sim.Proc, cause error) error {
 		}
 	}
 	e.stats.DegradedTo = best.m.Symbol()
-	e.res.Trace.AddFor(p, trace.Event{
-		Device: "-", Kind: trace.Degrade,
+	e.res.Obs.Record(p, obs.Event{
+		Device: "-", Kind: obs.Degrade,
 		Start: p.Now(), End: p.Now(),
 		Note: "degraded to " + best.m.Symbol() + " on shared transport",
 	})
@@ -379,8 +374,6 @@ func (e *env) retireDisks() {
 	if err != nil {
 		panic(err) // config was valid for the original array
 	}
-	a.SetRecorder(e.res.Trace)
-	a.SetMetrics(e.res.Metrics)
-	a.SetInjector(e.inj)
+	a.Attach(e.hooks)
 	e.disks = a
 }

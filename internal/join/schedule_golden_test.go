@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tape"
-	"repro/internal/trace"
 )
 
 var updateSchedule = flag.Bool("update-schedule", false, "rewrite testdata/schedule/*.golden from the current code")
@@ -90,17 +88,14 @@ func faultedRes() Resources {
 	return res
 }
 
-// renderSchedule runs one case with a recorder and a span tracker and
-// renders everything the schedule determines: response time, device
-// busy times, the output digests, every span and every device event.
+// renderSchedule runs one case with an event collector and renders
+// everything the schedule determines: response time, device busy
+// times, the output digests, every span and every device event.
 func renderSchedule(t *testing.T, c scheduleCase) string {
 	t.Helper()
 	res := c.res()
-	rec := &trace.Recorder{}
 	tracker := obs.NewTracker()
-	res.Trace = rec
-	res.Spans = tracker
-	rec.Spans = tracker
+	res.Obs = tracker
 	sink := &orderSink{}
 	out, err := Run(c.method, c.spec(t), res, sink)
 	if err != nil {
@@ -110,17 +105,15 @@ func renderSchedule(t *testing.T, c scheduleCase) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "response %d\n", st.Response)
 	fmt.Fprintf(&b, "busy tapeR=%d tapeS=%d disk=%d\n", st.TapeRBusy, st.TapeSBusy, st.DiskBusy)
-	devs := rec.Devices()
-	sort.Strings(devs)
-	for _, d := range devs {
-		fmt.Fprintf(&b, "device %s busy=%d\n", d, rec.BusyTime(d))
+	for _, d := range obs.Analyze(tracker.Spans(), tracker.Events(), sim.Time(st.Response)).Total.Busy {
+		fmt.Fprintf(&b, "device %s busy=%d\n", d.Device, d.Busy)
 	}
 	fmt.Fprintf(&b, "faults %d retries %d restarts %d recovery %d\n", st.Faults, st.Retries, st.UnitRestarts, st.RecoveryTime)
 	fmt.Fprintf(&b, "matches %d hash %016x order %016x\n", sink.Matches, sink.Hash(), sink.order)
 	for _, sp := range tracker.Spans() {
 		fmt.Fprintf(&b, "span %d parent=%d %s proc=%s [%d,%d]\n", sp.ID, sp.Parent, sp.Name, sp.Proc, sp.Start, sp.End)
 	}
-	for _, e := range rec.Events {
+	for _, e := range tracker.Events() {
 		fmt.Fprintf(&b, "event %s %s [%d,%d] blocks=%d span=%d %q\n", e.Device, e.Kind, e.Start, e.End, e.Blocks, e.Span, e.Note)
 	}
 	return b.String()

@@ -28,7 +28,7 @@ type Session struct {
 	res            Resources
 	driveR, driveS device.Drive
 	disks          device.Store
-	inj            fault.Injector
+	hooks          device.Hooks
 	retryBackoff   *obs.Histogram
 	unitRestarts   *obs.Counter
 	// retired holds devices swapped out by a mid-run degrade; they are
@@ -38,8 +38,8 @@ type Session struct {
 }
 
 // NewSession builds the device complex described by res: two tape
-// drives named "R" and "S" and a striped disk array, with trace,
-// metrics and fault-injection wiring attached.
+// drives named "R" and "S" and a striped disk array, each attached to
+// the run's collector, registry and fault schedule.
 func NewSession(res Resources) (*Session, error) {
 	res = res.WithDefaults()
 	if err := res.Validate(); err != nil {
@@ -67,35 +67,24 @@ func NewSession(res Resources) (*Session, error) {
 		return nil, err
 	}
 
-	if res.Trace != nil {
-		res.Trace.Spans = res.Spans
-		driveR.SetRecorder(res.Trace)
-		driveS.SetRecorder(res.Trace)
-		array.SetRecorder(res.Trace)
-	}
 	// Wall-clocked backends get dual-clock spans; virtual-only runs
 	// keep zero wall fields. The flight recorder sees span boundaries
 	// either way.
 	if _, ok := res.Backend.(device.WallStatser); ok {
-		res.Spans.EnableWallClock()
+		res.Obs.EnableWallClock()
 	}
-	res.Spans.SetFlight(res.Flight)
-	if res.Metrics != nil {
-		driveR.SetMetrics(res.Metrics)
-		driveS.SetMetrics(res.Metrics)
-		array.SetMetrics(res.Metrics)
-	}
-	var inj fault.Injector
+	res.Obs.SetFlight(res.Flight)
+	hooks := device.Hooks{Obs: res.Obs, Metrics: res.Metrics}
 	if res.Faults != nil {
-		inj = fault.Instrument(res.Faults, res.Metrics, res.Flight)
-		driveR.SetInjector(inj)
-		driveS.SetInjector(inj)
-		array.SetInjector(inj)
+		hooks.Faults = fault.Instrument(res.Faults, res.Metrics, res.Flight)
 	}
+	driveR.Attach(hooks)
+	driveS.Attach(hooks)
+	array.Attach(hooks)
 	return &Session{
 		k: k, res: res,
 		driveR: driveR, driveS: driveS, disks: array,
-		inj: inj,
+		hooks: hooks,
 		retryBackoff: res.Metrics.Histogram("join_retry_backoff_seconds",
 			"Backoff waits before fault-recovery re-reads.", obs.BackoffBuckets),
 		unitRestarts: res.Metrics.Counter("join_unit_restarts_total",
@@ -121,7 +110,7 @@ func (s *Session) Resources() Resources { return s.res }
 
 // Finish closes the observability tracker at the kernel's final time.
 // Call once after the kernel has drained.
-func (s *Session) Finish() { s.res.Spans.Finish(s.k.Now()) }
+func (s *Session) Finish() { s.res.Obs.Finish(s.k.Now()) }
 
 // Close releases the session's devices — current and retired — and
 // their OS resources (file-backend I/O workers and scratch
@@ -206,7 +195,7 @@ func (s *Session) newEnv(t0 sim.Time, spec Spec, res Resources, sink Sink) *env 
 		driveR: s.driveR, driveS: s.driveS, disks: s.disks,
 		mem: &ledger{}, sink: sink, stats: &Stats{}, t0: t0,
 		eodR: spec.R.Media.EOD(), eodS: spec.S.Media.EOD(),
-		inj:          s.inj,
+		hooks:        s.hooks,
 		retryBackoff: s.retryBackoff,
 		unitRestarts: s.unitRestarts,
 	}

@@ -1,14 +1,17 @@
 package join
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/device"
 	"repro/internal/device/filedev"
 	"repro/internal/relation"
+	"repro/internal/sim"
 )
 
 // totalIO sums every block a run moved on tape and disk — the "device
@@ -117,6 +120,62 @@ func TestEarlyTerminationLeakFree(t *testing.T) {
 		}
 	}
 	waitGoroutines(t, baseline)
+}
+
+// TestStoppedExecReleasesDiskScratch runs every method to a StopAfter=1
+// cut-off inside a Session on both backends, with and without a
+// caller-staged R copy, and asserts the store's space returns to its
+// pre-run value: the method frees its own R copy or R buckets on the
+// stop path, and never the caller-owned StagedR. A resident session
+// (the daemon's) would otherwise fill its disk one LIMIT-n query at a
+// time.
+func TestStoppedExecReleasesDiskScratch(t *testing.T) {
+	for _, backend := range []string{"sim", "file"} {
+		for _, staged := range []bool{false, true} {
+			for _, m := range AllMethods() {
+				res := fastRes(24, 1024)
+				if backend == "file" {
+					res.Backend = filedev.New(t.TempDir())
+				}
+				s, err := NewSession(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec := specWithSizes(t, 24, 96, 4)
+				var before, after int64
+				var result *Result
+				var runErr error
+				s.Kernel().Spawn("query", func(p *sim.Proc) {
+					var opts ExecOptions
+					if staged {
+						var f device.File
+						if f, _, runErr = s.StageR(p, spec.R, nil); runErr != nil {
+							return
+						}
+						opts.StagedR = f
+					}
+					before = s.Disks().Used()
+					opts.StopAfter = 1
+					result, runErr = s.Exec(p, m, spec, &CountSink{}, opts)
+					after = s.Disks().Used()
+				})
+				if err := s.Kernel().Run(); err != nil {
+					t.Fatal(err)
+				}
+				s.Close()
+				name := fmt.Sprintf("%s/%s/staged=%v", backend, m.Symbol(), staged)
+				if runErr != nil {
+					t.Fatalf("%s: %v", name, runErr)
+				}
+				if !result.Stats.Stopped {
+					t.Fatalf("%s: run was not stopped", name)
+				}
+				if after != before {
+					t.Errorf("%s: disk use %d blocks after the stopped run, %d before", name, after, before)
+				}
+			}
+		}
+	}
 }
 
 // TestStreamSinkCancelStorm is the cancel storm: a fixed-seed sweep of

@@ -4,10 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // chromeEvent is one entry of a Chrome trace_event JSON document.
@@ -36,7 +34,7 @@ func usec(t sim.Time) float64 { return float64(t) / 1e3 }
 // track (thread) of I/O slices, each span-opening process is a track
 // of phase slices, and zero-width events (faults, marks, restarts)
 // are instants.
-func ChromeTrace(spans []*Span, events []trace.Event) ([]byte, error) {
+func ChromeTrace(spans []*Span, events []Event) ([]byte, error) {
 	doc := chromeDoc{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
 	pid := 1
 
@@ -44,18 +42,11 @@ func ChromeTrace(spans []*Span, events []trace.Event) ([]byte, error) {
 	// processes in first-span order, then a marks track if needed.
 	tids := map[string]int{}
 	var names []string
-	devSet := map[string]bool{}
-	for _, e := range events {
-		if e.Kind != trace.Mark && e.Device != "-" {
-			devSet[e.Device] = true
+	for _, d := range devices(events) {
+		if d != "-" {
+			names = append(names, d)
 		}
 	}
-	devs := make([]string, 0, len(devSet))
-	for d := range devSet {
-		devs = append(devs, d)
-	}
-	sort.Strings(devs)
-	names = append(names, devs...)
 	for _, s := range spans {
 		key := "proc:" + s.Proc
 		if _, ok := tids[key]; !ok {
@@ -65,7 +56,7 @@ func ChromeTrace(spans []*Span, events []trace.Event) ([]byte, error) {
 	}
 	hasMarks := false
 	for _, e := range events {
-		if e.Kind == trace.Mark || e.Device == "-" {
+		if e.Kind == Mark || e.Device == "-" {
 			hasMarks = true
 			break
 		}
@@ -116,7 +107,7 @@ func ChromeTrace(spans []*Span, events []trace.Event) ([]byte, error) {
 			args["note"] = e.Note
 		}
 		ce := chromeEvent{Name: e.Kind.String(), Cat: "device", Pid: pid, Ts: usec(e.Start), Args: args}
-		if e.Kind == trace.Mark || e.Device == "-" {
+		if e.Kind == Mark || e.Device == "-" {
 			ce.Tid = tids["marks"]
 			ce.Ph = "i"
 			ce.S = "g"
@@ -228,7 +219,7 @@ type jsonlEvent struct {
 
 // WriteJSONL streams spans then events to w, one JSON object per line,
 // timestamps in virtual seconds.
-func WriteJSONL(w io.Writer, spans []*Span, events []trace.Event) error {
+func WriteJSONL(w io.Writer, spans []*Span, events []Event) error {
 	enc := json.NewEncoder(w)
 	for _, s := range spans {
 		line := jsonlSpan{

@@ -8,7 +8,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // DriveConfig sets the performance model of a simulated tape drive.
@@ -114,7 +113,7 @@ type DriveStats struct {
 // which is how read/append contention on one cartridge costs time.
 type Drive struct {
 	name  string
-	dev   string // "tape:<name>": the trace and fault device name
+	dev   string // "tape:<name>": the event and fault device name
 	k     *sim.Kernel
 	cfg   DriveConfig
 	res   *sim.Resource
@@ -130,19 +129,38 @@ type Drive struct {
 	lost   bool           // an injected drive failure killed the transport
 	shared *transport     // non-nil when two drives share one transport
 
-	rec   *trace.Recorder
-	met   driveMetrics
+	tr    *obs.Tracker
+	met   DriveMetrics
 	Stats DriveStats
 }
 
-// driveMetrics are the per-drive series exported to an obs.Registry.
-// The handles are nil-safe, so instrumentation calls unconditionally.
-type driveMetrics struct {
-	blocksRead    *obs.Counter
-	blocksWritten *obs.Counter
-	seeks         *obs.Counter
-	exchanges     *obs.Counter
-	latency       *obs.Histogram
+// DriveMetrics are a tape drive's series in an obs.Registry. Every
+// backend's drives register these, so dashboards and trace checks see
+// the same names. The handles are nil-safe, so instrumentation calls
+// unconditionally.
+type DriveMetrics struct {
+	BlocksRead    *obs.Counter
+	BlocksWritten *obs.Counter
+	Seeks         *obs.Counter
+	Exchanges     *obs.Counter
+	Latency       *obs.Histogram
+}
+
+// NewDriveMetrics registers the series of the named drive in reg; a
+// nil reg yields nil handles.
+func NewDriveMetrics(reg *obs.Registry, drive string) DriveMetrics {
+	if reg == nil {
+		return DriveMetrics{}
+	}
+	l := obs.A("drive", drive)
+	return DriveMetrics{
+		BlocksRead:    reg.Counter("tape_blocks_read_total", "Blocks read from tape.", l),
+		BlocksWritten: reg.Counter("tape_blocks_written_total", "Blocks written to tape.", l),
+		Seeks:         reg.Counter("tape_seeks_total", "Head repositioning seeks.", l),
+		Exchanges:     reg.Counter("tape_exchanges_total", "Robot cartridge exchanges.", l),
+		Latency: reg.Histogram("tape_request_seconds",
+			"Virtual latency of tape requests, queueing included.", obs.DeviceLatencyBuckets, l),
+	}
 }
 
 // NewDrive returns a drive attached to the kernel with the given
@@ -175,37 +193,23 @@ func (d *Drive) Load(m Medium) {
 	d.reverse = false
 }
 
-// SetRecorder attaches an event recorder (nil disables tracing).
-func (d *Drive) SetRecorder(r *trace.Recorder) { d.rec = r }
-
-// SetMetrics registers this drive's counters and request-latency
-// histogram in reg (nil detaches).
-func (d *Drive) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		d.met = driveMetrics{}
-		return
-	}
-	l := obs.A("drive", d.name)
-	d.met = driveMetrics{
-		blocksRead:    reg.Counter("tape_blocks_read_total", "Blocks read from tape.", l),
-		blocksWritten: reg.Counter("tape_blocks_written_total", "Blocks written to tape.", l),
-		seeks:         reg.Counter("tape_seeks_total", "Head repositioning seeks.", l),
-		exchanges:     reg.Counter("tape_exchanges_total", "Robot cartridge exchanges.", l),
-		latency: reg.Histogram("tape_request_seconds",
-			"Virtual latency of tape requests, queueing included.", obs.DeviceLatencyBuckets, l),
-	}
+// Attach connects the drive to a run's event collector, metric
+// registry and fault injector (device.Hooks); nil fields disable each.
+func (d *Drive) Attach(h fault.Hooks) {
+	d.tr, d.inj = h.Obs, h.Faults
+	d.met = NewDriveMetrics(h.Metrics, d.name)
 }
 
 // observe records a completed request's latency, measured from entry
 // (queueing on the drive included) to completion.
 func (d *Drive) observe(p *sim.Proc, t0 sim.Time) {
-	d.met.latency.Observe(sim.Duration(p.Now() - t0).Seconds())
+	d.met.Latency.Observe(sim.Duration(p.Now() - t0).Seconds())
 }
 
-// record emits a trace event spanning [from, now], stamped with the
+// record emits a device event spanning [from, now], stamped with the
 // issuing process's phase span.
-func (d *Drive) record(p *sim.Proc, kind trace.Kind, from sim.Time, blocks int64) {
-	d.rec.AddFor(p, trace.Event{
+func (d *Drive) record(p *sim.Proc, kind obs.Kind, from sim.Time, blocks int64) {
+	d.tr.Record(p, obs.Event{
 		Device: d.dev, Kind: kind,
 		Start: from, End: p.Now(), Blocks: blocks,
 	})
@@ -231,11 +235,11 @@ func (d *Drive) exchangeTo(p *sim.Proc, addr Addr) {
 	if d.cfg.ExchangeTime > 0 {
 		t0 := p.Now()
 		p.Hold(d.cfg.ExchangeTime)
-		d.record(p, trace.TapeExchange, t0, 0)
+		d.record(p, obs.TapeExchange, t0, 0)
 	}
 	d.Stats.Exchanges++
 	d.Stats.ExchangeTime += d.cfg.ExchangeTime
-	d.met.exchanges.Inc()
+	d.met.Exchanges.Inc()
 	d.curVol = vol
 	// A fresh cartridge starts at its first block.
 	d.pos = d.media.volumeSpan(vol).Start
@@ -255,10 +259,10 @@ func (d *Drive) seekWithin(p *sim.Proc, addr Addr) {
 	if st > 0 {
 		d.Stats.Seeks++
 		d.Stats.SeekTime += st
-		d.met.seeks.Inc()
+		d.met.Seeks.Inc()
 		t0 := p.Now()
 		p.Hold(st)
-		d.record(p, trace.TapeSeek, t0, 0)
+		d.record(p, obs.TapeSeek, t0, 0)
 	}
 	d.pos = addr
 }
@@ -284,7 +288,7 @@ func (d *Drive) position(p *sim.Proc, addr Addr, wantReverse bool) {
 // transferSegments walks the volume-contiguous segments of [addr,
 // addr+n), charging exchanges between them and the transfer time of
 // each.
-func (d *Drive) transferSegments(p *sim.Proc, addr Addr, n int64, kind trace.Kind) {
+func (d *Drive) transferSegments(p *sim.Proc, addr Addr, n int64, kind obs.Kind) {
 	for n > 0 {
 		d.position(p, addr, false)
 		span := d.media.volumeSpan(d.curVol)
@@ -340,10 +344,10 @@ func (d *Drive) ReadAt(p *sim.Proc, addr Addr, n int64) ([]block.Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.transferSegments(p, addr, n, trace.TapeRead)
+	d.transferSegments(p, addr, n, obs.TapeRead)
 	d.Stats.Requests++
 	d.Stats.BlocksRead += n
-	d.met.blocksRead.Add(float64(n))
+	d.met.BlocksRead.Add(float64(n))
 	d.observe(p, t0)
 	return deliver(data, corrupt)
 }
@@ -391,14 +395,14 @@ func (d *Drive) ReadRegionReverse(p *sim.Proc, r Region) ([]block.Block, error) 
 	t := d.TransferTime(r.N)
 	tx := p.Now()
 	p.Hold(t)
-	d.record(p, trace.TapeRead, tx, r.N)
+	d.record(p, obs.TapeRead, tx, r.N)
 	d.Stats.TransferTime += t
 	d.pos = r.Start
 	d.lastEnd = p.Now()
 	d.started = true
 	d.Stats.Requests++
 	d.Stats.BlocksRead += r.N
-	d.met.blocksRead.Add(float64(r.N))
+	d.met.BlocksRead.Add(float64(r.N))
 	d.observe(p, t0)
 	return deliver(data, corrupt)
 }
@@ -422,10 +426,10 @@ func (d *Drive) Append(p *sim.Proc, blks []block.Block) (Region, error) {
 	if err != nil {
 		return Region{}, err
 	}
-	d.transferSegments(p, eod, reg.N, trace.TapeWrite)
+	d.transferSegments(p, eod, reg.N, obs.TapeWrite)
 	d.Stats.Requests++
 	d.Stats.BlocksWritten += reg.N
-	d.met.blocksWritten.Add(float64(reg.N))
+	d.met.BlocksWritten.Add(float64(reg.N))
 	d.observe(p, t0)
 	return reg, nil
 }
@@ -448,10 +452,10 @@ func (d *Drive) WriteAt(p *sim.Proc, addr Addr, blks []block.Block) error {
 	if err := d.media.writeAt(addr, blks); err != nil {
 		return err
 	}
-	d.transferSegments(p, addr, int64(len(blks)), trace.TapeWrite)
+	d.transferSegments(p, addr, int64(len(blks)), obs.TapeWrite)
 	d.Stats.Requests++
 	d.Stats.BlocksWritten += int64(len(blks))
-	d.met.blocksWritten.Add(float64(int64(len(blks))))
+	d.met.BlocksWritten.Add(float64(int64(len(blks))))
 	d.observe(p, t0)
 	return nil
 }

@@ -6,13 +6,9 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
-
-// SetInjector attaches a fault injector consulted on every drive
-// request (nil disables injection).
-func (d *Drive) SetInjector(inj fault.Injector) { d.inj = inj }
 
 // consult asks the injector about one request while the drive is held.
 // Stalls are charged immediately (the drive hiccups while holding the
@@ -29,7 +25,7 @@ func (d *Drive) consult(p *sim.Proc, write bool, addr Addr, n int64) (corrupt bo
 		d.Stats.StallTime += dec.Stall
 		t0 := p.Now()
 		p.Hold(dec.Stall)
-		d.record(p, trace.Fault, t0, 0)
+		d.record(p, obs.Fault, t0, 0)
 	}
 	if dec.Err != nil {
 		d.Stats.InjectedFaults++
@@ -109,7 +105,7 @@ func (d *Drive) switchIn(p *sim.Proc) {
 		if d.cfg.ExchangeTime > 0 {
 			t0 := p.Now()
 			p.Hold(d.cfg.ExchangeTime)
-			d.record(p, trace.TapeExchange, t0, 0)
+			d.record(p, obs.TapeExchange, t0, 0)
 		}
 		d.Stats.Exchanges++
 		d.Stats.ExchangeTime += d.cfg.ExchangeTime

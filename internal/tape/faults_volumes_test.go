@@ -79,7 +79,7 @@ func TestMultiVolumeTransientRecoversAcrossBoundary(t *testing.T) {
 	k := sim.NewKernel()
 	d := NewDrive(k, "r", idealCfg())
 	d.Load(mv)
-	d.SetInjector(sched)
+	d.Attach(fault.Hooks{Faults: sched})
 	k.Spawn("p", func(p *sim.Proc) {
 		_, err := d.ReadAt(p, 5, 10) // spans blocks 5..14 over both volumes
 		if err == nil {

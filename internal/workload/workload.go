@@ -364,7 +364,7 @@ func (en *engine) mount(p *sim.Proc, drive device.Drive, m device.Medium, side s
 	if drive.Media() == m {
 		return
 	}
-	sp := en.session.Resources().Spans.Begin(p, "mount",
+	sp := en.session.Resources().Obs.Begin(p, "mount",
 		obs.A("side", side), obs.A("media", m.Name()))
 	p.Hold(en.cfg.MountTime)
 	drive.Load(m)
@@ -557,7 +557,7 @@ func (en *engine) syncDevices(p *sim.Proc) {
 func (en *engine) runSingle(p *sim.Proc, qi int) error {
 	q := en.queries[qi]
 	start := sim.Duration(p.Now())
-	sp := en.session.Resources().Spans.Begin(p, "query", obs.A("id", q.ID))
+	sp := en.session.Resources().Obs.Begin(p, "query", obs.A("id", q.ID))
 	defer sp.Close(p)
 	en.queueWait.Observe((start - q.arrived).Seconds())
 
@@ -707,7 +707,7 @@ func (en *engine) demote(p *sim.Proc, indices []int, cause error) error {
 func (en *engine) runShared(p *sim.Proc, indices []int) error {
 	start := sim.Duration(p.Now())
 	bigS := en.queries[indices[0]].S
-	sp := en.session.Resources().Spans.Begin(p, "shared-pass",
+	sp := en.session.Resources().Obs.Begin(p, "shared-pass",
 		obs.A("s", bigS.Name), obs.AInt("riders", int64(len(indices))))
 	defer sp.Close(p)
 

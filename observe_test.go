@@ -130,3 +130,37 @@ func grepLines(s, substr string) string {
 	}
 	return strings.Join(out, "\n")
 }
+
+// deviceSeries returns the tape_ and disk_ lines of a Prometheus
+// exposition with sample values cut off: HELP and TYPE headers and
+// series keys (name and labels).
+func deviceSeries(text string) []string {
+	var out []string
+	for _, l := range strings.Split(text, "\n") {
+		key := strings.TrimPrefix(strings.TrimPrefix(l, "# HELP "), "# TYPE ")
+		if !strings.HasPrefix(key, "tape_") && !strings.HasPrefix(key, "disk_") {
+			continue
+		}
+		if !strings.HasPrefix(l, "#") {
+			l = l[:strings.LastIndexByte(l, ' ')]
+		}
+		out = append(out, l)
+	}
+	return out
+}
+
+// TestDeviceSeriesMatchAcrossBackends pins the single definition of the
+// device metric series: a simulator run and a file-backend run of the
+// same join export the same tape_ and disk_ series, help text included.
+func TestDeviceSeriesMatchAcrossBackends(t *testing.T) {
+	cfg := Config{MemoryMB: 1, DiskMB: 4, Profile: IdealTape}
+	simRun := deviceSeries(observedJoin(t, CDTGH, cfg).Report.MetricsText())
+	cfg.Backend, cfg.BackendDir, cfg.FileSync = "file", t.TempDir(), "none"
+	fileRun := deviceSeries(observedJoin(t, CDTGH, cfg).Report.MetricsText())
+	if len(simRun) == 0 {
+		t.Fatal("no device series exported")
+	}
+	if a, b := strings.Join(simRun, "\n"), strings.Join(fileRun, "\n"); a != b {
+		t.Fatalf("device series differ across backends:\n--- sim\n%s\n--- file\n%s", a, b)
+	}
+}

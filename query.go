@@ -197,6 +197,10 @@ func (s *System) RunQuery(spec QuerySpec) (*QueryResult, error) {
 		}
 		forced = string(spec.Method)
 	}
+	runRes, err := s.runResources(false)
+	if err != nil {
+		return nil, err
+	}
 	res, err := query.Run(query.Query{
 		R:          spec.R.tbl,
 		S:          spec.S.tbl,
@@ -207,7 +211,7 @@ func (s *System) RunQuery(spec QuerySpec) (*QueryResult, error) {
 		Method:     forced,
 		Limit:      spec.Limit,
 		StopAfter:  spec.StopAfter,
-	}, s.res)
+	}, runRes)
 	if err != nil {
 		return nil, err
 	}

@@ -7,9 +7,9 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/join"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // DeviceBusyReport is one device's contribution to a phase.
@@ -61,7 +61,7 @@ type Report struct {
 	Phases []PhaseReport
 
 	spans  []*obs.Span
-	events []trace.Event
+	events []obs.Event
 	reg    *obs.Registry
 	end    sim.Time
 }
@@ -87,14 +87,16 @@ func toPhaseReport(s obs.PhaseStat) PhaseReport {
 	return out
 }
 
-func newReport(tr *obs.Tracker, rec *trace.Recorder, reg *obs.Registry, end sim.Time) *Report {
-	spans := tr.Spans()
-	a := obs.Analyze(spans, rec.Events, end)
+// newReport analyzes a finished run whose resources carry a
+// collector (res.Obs); end is the run's virtual length.
+func newReport(res join.Resources, end sim.Time) *Report {
+	spans, events := res.Obs.Spans(), res.Obs.Events()
+	a := obs.Analyze(spans, events, end)
 	r := &Report{
 		Total:  toPhaseReport(a.Total),
 		spans:  spans,
-		events: rec.Events,
-		reg:    reg,
+		events: events,
+		reg:    res.Metrics,
 		end:    end,
 	}
 	for _, ph := range a.Phases {
@@ -102,6 +104,16 @@ func newReport(tr *obs.Tracker, rec *trace.Recorder, reg *obs.Registry, end sim.
 	}
 	return r
 }
+
+// Timeline renders the run's device activity as a text Gantt chart
+// of width columns: one row per device, 'r' for reads, 'w' for
+// writes, 's' for seeks, 'x' for media exchanges, '!' for faults, '~'
+// for retries, 'X' for degrades, '.' for idle.
+func (r *Report) Timeline(width int) string { return obs.Timeline(r.events, r.end, width) }
+
+// DeviceSummary renders each device's busy share of the run, with
+// overlapping activity merged, and its time per activity kind.
+func (r *Report) DeviceSummary() string { return obs.Summary(r.events, r.end) }
 
 // ChromeTrace renders the run as Chrome trace_event JSON, loadable in
 // Perfetto (ui.perfetto.dev) or chrome://tracing: one track per

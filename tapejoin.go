@@ -41,7 +41,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/sim"
 	"repro/internal/tape"
-	"repro/internal/trace"
 )
 
 // BlocksPerMB converts the paper's megabyte units to paper blocks.
@@ -206,15 +205,11 @@ type Config struct {
 	// folding locally-stored output into a reduced X_D, which is
 	// exactly what this does.
 	OutputDiskShare float64
-	// CollectTrace records every device I/O event during Join and
-	// renders Result.Timeline and Result.DeviceSummary.
-	CollectTrace bool
 	// Observe enables the structured observability layer: phase spans,
-	// a metrics registry, and trace export. Join then attaches a
-	// Result.Report with per-phase critical-path analysis and
-	// Chrome-trace / JSONL / Prometheus exporters. Implies event
-	// recording (but not the text Timeline, which stays behind
-	// CollectTrace).
+	// device I/O events and a metrics registry. Join and RunBatch then
+	// attach a Report with per-phase critical-path analysis, the text
+	// device timeline and busy breakdown, and Chrome-trace / JSONL /
+	// Prometheus exporters.
 	Observe bool
 	// Faults injects a deterministic fault schedule into the devices of
 	// every Join, in the internal/fault spec grammar, e.g.
@@ -624,11 +619,6 @@ type Result struct {
 	BufferTrace []UtilizationSample
 	// BufferCapacityMB is the traced buffer's size.
 	BufferCapacityMB float64
-	// Timeline is a text Gantt chart of device activity, and
-	// DeviceSummary the per-device busy breakdown, when the system
-	// was configured with CollectTrace.
-	Timeline      string
-	DeviceSummary string
 	// Report carries the structured observability data when the system
 	// was configured with Observe: per-phase critical-path analysis
 	// plus Chrome-trace, JSONL and metrics exporters.
@@ -689,34 +679,10 @@ func (s *System) JoinWith(method Method, r, bigS *Relation, opts JoinOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	runRes := s.res
-	var rec *trace.Recorder
-	if s.cfg.CollectTrace || s.cfg.Observe {
-		rec = &trace.Recorder{}
-		runRes.Trace = rec
+	runRes, err := s.runResources(false)
+	if err != nil {
+		return nil, err
 	}
-	var tracker *obs.Tracker
-	var reg *obs.Registry
-	if s.cfg.Observe {
-		tracker = obs.NewTracker()
-		reg = obs.NewRegistry()
-		runRes.Spans = tracker
-		runRes.Metrics = reg
-	}
-	runRes.Flight = s.flight
-	if s.obs != nil {
-		// Point the live endpoints at this run's registry so a scrape
-		// mid-run sees the numbers as they accumulate.
-		s.obs.SetSources(reg, s.flight, s.healthSource())
-	}
-	if s.cfg.Faults != "" {
-		sched, err := fault.Parse(s.cfg.Faults)
-		if err != nil {
-			return nil, fmt.Errorf("tapejoin: %w", err)
-		}
-		runRes.Faults = sched
-	}
-	runRes.Recovery.Disabled = s.cfg.DisableRecovery
 	var sink interface {
 		join.Sink
 		join.Hasher
@@ -778,15 +744,42 @@ func (s *System) JoinWith(method Method, r, bigS *Relation, opts JoinOptions) (*
 			OddMB:   mbOf(smp.Odd),
 		})
 	}
-	if s.cfg.CollectTrace {
-		end := sim.Time(res.Stats.Response)
-		out.Timeline = rec.Timeline(end, 100)
-		out.DeviceSummary = rec.Summary(end)
-	}
-	if s.cfg.Observe {
-		out.Report = newReport(tracker, rec, reg, sim.Time(res.Stats.Response))
+	if runRes.Obs != nil {
+		out.Report = newReport(runRes, sim.Time(res.Stats.Response))
 	}
 	return out, nil
+}
+
+// runResources builds one run's context: a fresh event collector and
+// metrics registry when Observe is set, the system's flight recorder,
+// a freshly parsed fault schedule, and the recovery switch. The obs
+// server, when present, is pointed at the new registry so a scrape
+// mid-run sees the numbers as they accumulate. A resident service
+// (resident) always gets a registry and never a collector: spans and
+// events have no end to bound them there, and the service points the
+// obs server at its registry itself.
+func (s *System) runResources(resident bool) (join.Resources, error) {
+	res := s.res
+	if s.cfg.Observe || resident {
+		res.Metrics = obs.NewRegistry()
+	}
+	if !resident {
+		if s.cfg.Observe {
+			res.Obs = obs.NewTracker()
+		}
+		if s.obs != nil {
+			s.obs.SetSources(res.Metrics, s.flight, s.healthSource())
+		}
+	}
+	if s.cfg.Faults != "" {
+		sched, err := fault.Parse(s.cfg.Faults)
+		if err != nil {
+			return res, fmt.Errorf("tapejoin: %w", err)
+		}
+		res.Faults = sched
+	}
+	res.Recovery.Disabled = s.cfg.DisableRecovery
+	return res, nil
 }
 
 // CheckFeasible reports whether the method can run r ⋈ s on this
