@@ -81,6 +81,7 @@ type Server struct {
 	draining    bool
 	nextID      int64
 	accepted    int64
+	cancelled   int64
 	rejected    map[string]int64 // by Reason* kind
 
 	ln  net.Listener
@@ -427,6 +428,9 @@ wait:
 		case <-ctxDone:
 			if ssink != nil {
 				ssink.cancel()
+				s.mu.Lock()
+				s.cancelled++
+				s.mu.Unlock()
 			}
 			ctxDone = nil
 		case got, ok := <-resCh:
@@ -494,6 +498,9 @@ type StatsBody struct {
 	Policy   string `json:"policy"`
 	Draining bool   `json:"draining"`
 	Accepted int64  `json:"accepted"`
+	// Cancelled counts streamed queries whose client went away before
+	// the result, each asked to stop at its next poll.
+	Cancelled int64 `json:"cancelled"`
 	// Rejected counts HTTP-level rejections by kind.
 	Rejected map[string]int64 `json:"rejected"`
 	// Outstanding is the per-tenant count of accepted, unfinished
@@ -510,6 +517,7 @@ func (s *Server) Stats() StatsBody {
 	st.Policy = s.cfg.Engine.Policy.String()
 	st.Draining = s.draining
 	st.Accepted = s.accepted
+	st.Cancelled = s.cancelled
 	st.Rejected = make(map[string]int64, len(s.rejected))
 	for k, v := range s.rejected {
 		st.Rejected[k] = v

@@ -4,14 +4,39 @@ import (
 	"context"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/join"
 	"repro/internal/relation"
+	"repro/internal/sim"
 	"repro/internal/tape"
 	"repro/internal/workload"
 )
+
+// gateSink parks the scheduler proc at its query's first emission until
+// released, pinning the engine on that query for as long as a test
+// needs regardless of how fast the simulation runs.
+type gateSink struct {
+	join.CountSink
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func newGateSink() *gateSink {
+	return &gateSink{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+// Emit implements join.Sink.
+func (g *gateSink) Emit(p *sim.Proc, r, t block.Tuple) {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	g.CountSink.Emit(p, r, t)
+}
 
 // TestServiceStopAfterWire pins the stop_after wire contract: a
 // LIMIT-n request delivers exactly n pairs, the result line reports
@@ -76,8 +101,6 @@ func TestServiceStopAfterWire(t *testing.T) {
 // fewer tape reads than a full run — the drives stop working for a
 // client that went away, while other tenants' queries are untouched.
 func TestServiceClientCancelStopsDeviceWork(t *testing.T) {
-	// A larger S than the shared fixture so the hold query keeps the
-	// engine busy long enough for the cancellation to land in queue.
 	mS := tape.NewMedia("S1", 4096)
 	mR := tape.NewMedia("RA", 4096)
 	rS, err := relation.WriteToTape(relation.Config{
@@ -140,21 +163,24 @@ func TestServiceClientCancelStopsDeviceWork(t *testing.T) {
 	waitServed(1)
 	fullRead := s.Stats().Engine.TapeBlocksRead
 
-	// Hold the FIFO engine with a second full query, then submit the
-	// victim behind it and kill its connection immediately: the cancel
-	// flips the sink while the victim is still queued, so its run stops
-	// at the first poll.
-	holdDone := make(chan struct{})
-	go func() {
-		defer close(holdDone)
-		postJoin(t, base, Request{ID: "hold", R: "R1", S: "S1"})
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Stats().Accepted < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("hold query never accepted")
-		}
-		time.Sleep(time.Millisecond)
+	// Hold the FIFO engine with a second full query parked at its first
+	// emission, then submit the victim behind it and kill its
+	// connection: the cancel flips the sink while the victim is still
+	// queued, so its run stops at the first poll.
+	gate := newGateSink()
+	var releaseOnce sync.Once
+	releaseHold := func() { releaseOnce.Do(func() { close(gate.release) }) }
+	defer releaseHold() // runs before Drain, which would wait on the hold
+	holdCh, err := s.eng.Submit(workload.OnlineQuery{
+		Query: workload.Query{ID: "hold", R: rR, S: rS, Sink: gate},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("hold query never reached its first emission")
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -174,7 +200,17 @@ func TestServiceClientCancelStopsDeviceWork(t *testing.T) {
 	cancel()
 	resp.Body.Close()
 
-	<-holdDone
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Stats().Cancelled < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("victim's disconnect never reached its handler")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	releaseHold()
+	if res := <-holdCh; res.Failed {
+		t.Fatalf("hold query failed: %s", res.Reason)
+	}
 	waitServed(3)
 
 	totalRead := s.Stats().Engine.TapeBlocksRead
@@ -182,6 +218,12 @@ func TestServiceClientCancelStopsDeviceWork(t *testing.T) {
 	if victimRead >= fullRead {
 		t.Errorf("cancelled query read %d tape blocks, full run reads %d; cancellation saved no device work",
 			victimRead, fullRead)
+	}
+	// The engine counts the victim served before its handler releases
+	// the tenant slot; give the handler the same grace as the engine.
+	deadline = time.Now().Add(10 * time.Second)
+	for len(s.Stats().Outstanding) != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
 	if out := s.Stats().Outstanding; len(out) != 0 {
 		t.Errorf("outstanding queries leaked: %v", out)
