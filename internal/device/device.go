@@ -15,7 +15,6 @@ import (
 	"repro/internal/device/ioengine"
 	"repro/internal/disk"
 	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tape"
 )
@@ -198,13 +197,12 @@ type Truncatable interface {
 }
 
 // WallStatser is implemented by backends that perform real OS I/O and
-// can report wall-clock device activity: merged busy time per device
-// and the fraction of it overlapped across devices (filedev).
+// can report wall-clock device activity: busy time per device and the
+// fraction of it overlapped across devices (filedev). The figures
+// cover the backend's lifetime; a run reports the difference of two
+// snapshots (ioengine.WallStats.Sub).
 type WallStatser interface {
 	WallStats() ioengine.WallStats
-	// PublishWallMetrics exports the wall stats as obs gauges (nil
-	// registry is a no-op).
-	PublishWallMetrics(reg *obs.Registry)
 }
 
 // HealthReporter is implemented by backends whose devices run the

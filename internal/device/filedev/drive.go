@@ -351,7 +351,7 @@ func (d *Drive) Append(p *sim.Proc, blks []block.Block) (device.Region, error) {
 		return device.Region{}, err
 	}
 	if err := d.transfer(p, obs.TapeWrite, entered, reg.N, true, func() error {
-		return d.spool.execWrites(plan)
+		return d.spool.execWrite(plan)
 	}); err != nil {
 		return device.Region{}, err
 	}
@@ -381,7 +381,7 @@ func (d *Drive) WriteAt(p *sim.Proc, addr device.Addr, blks []block.Block) error
 		return err
 	}
 	if err := d.transfer(p, obs.TapeWrite, entered, int64(len(blks)), true, func() error {
-		return d.spool.execWrites(plan)
+		return d.spool.execWrite(plan)
 	}); err != nil {
 		return err
 	}
@@ -420,8 +420,8 @@ func (d *Drive) Close() error {
 // planned read: its bytes are damaged after the syscall and before
 // the frame check, so the read fails with device.ErrCorrupt while the
 // stored copy stays intact and a re-read recovers.
-func flipDelivered(plan []readOp, corrupt bool) {
-	if corrupt && len(plan) > 0 {
-		plan[len(plan)/2].flip = true
+func flipDelivered(plan readPlan, corrupt bool) {
+	if corrupt && len(plan.recs) > 0 {
+		plan.recs[len(plan.recs)/2].flip = true
 	}
 }

@@ -196,22 +196,14 @@ func (b *Backend) DeviceHealths() []ioengine.DeviceHealth {
 	return b.engine.DeviceHealths()
 }
 
-// WallStats implements device.WallStatser: merged wall-clock busy time
-// per device and the cross-device overlap fraction. Zero for a
-// synchronous backend.
+// WallStats implements device.WallStatser: wall-clock busy time per
+// device and the cross-device overlap fraction, over the backend's
+// lifetime. Zero for a synchronous backend.
 func (b *Backend) WallStats() ioengine.WallStats {
 	if b.engine == nil {
 		return ioengine.WallStats{}
 	}
 	return b.engine.WallStats()
-}
-
-// PublishWallMetrics implements device.WallStatser: per-device wall
-// busy-seconds gauges plus the overlap fraction.
-func (b *Backend) PublishWallMetrics(reg *obs.Registry) {
-	if b.engine != nil {
-		b.engine.PublishMetrics(reg)
-	}
 }
 
 // CancelOps implements device.OpCanceller: every operation queued on
@@ -369,21 +361,27 @@ func (s *syncer) flush(f *faultfile.File) error {
 // like a tape with block remapping.
 //
 // Every record frame is [len u32][crc32(payload) u32][payload], both
-// little-endian, and every read verifies the payload against the CRC
-// captured at plan time: torn writes, bit rot and truncated tails all
-// surface as typed device.ErrCorrupt instead of silently joining wrong
-// bytes. The frame CRC covers the whole encoded block, so it is the one
-// integrity check of a read on this backend: nothing above re-verifies
-// the block-level checksum.
+// little-endian. A request moves its frames in extents: a write
+// encodes all of its frames into one buffer and issues one positioned
+// write at the append offset, and a read issues one positioned read
+// per run of file-adjacent frames (records repointed by an overwrite
+// break a run). Every frame read is checked against the index captured
+// at plan time — header length, header CRC, and the payload's CRC — so
+// torn writes, bit rot and truncated tails all surface as typed
+// device.ErrCorrupt instead of silently joining wrong bytes, wherever
+// in the frame the damage lands. The payload CRC covers the whole
+// encoded block, so it is the one checksum of a read on this backend:
+// nothing above re-verifies the block-level checksum.
 //
 // Operations are split so the async path has no shared mutable state:
 // planAppend/planRead mutate the index and reserve offsets on the
-// token-holding proc, and the returned ops run pure positioned
+// token-holding proc, and the returned plans run pure positioned
 // syscalls on the device worker (positioned I/O is goroutine-safe).
 // FIFO submission on one worker orders a write before any read of the
 // same reserved offset. The underlying OS file is wrapped by
 // faultfile.File, so fault decisions made at plan time can strike the
-// syscalls themselves.
+// syscalls themselves: an armed decision strikes the op's first
+// syscall, that is its first extent.
 type recFile struct {
 	// f is accessed atomically: close runs on the token-holding proc,
 	// but a zombie op — one that outlived its deadline grace and was
@@ -422,121 +420,175 @@ func (r *recFile) arm(dec fault.OSDecision) {
 	}
 }
 
-// writeOp is one planned record write: frame header and payload,
-// contiguous at a reserved offset.
+// writeOp is one planned extent write: the encoded frames of a whole
+// request, contiguous at a reserved offset.
 type writeOp struct {
 	off  int64
 	data []byte
 }
 
-// readOp is one planned record read: the payload offset, a destination
-// buffer sized from the index, and the expected payload CRC. flip
-// models an injected delivery fault: the read bytes are damaged on the
-// way in, before the frame check.
-type readOp struct {
+// readRec is one record of a planned read: its frame's file offset,
+// and the payload length and CRC the index holds for it. flip models
+// an injected delivery fault: the read bytes are damaged on the way
+// in, before the frame check.
+type readRec struct {
 	off  int64
-	buf  []byte
+	n    int32
 	crc  uint32
 	flip bool
 }
 
+// frame is the record's on-file frame size.
+func (rr readRec) frame() int { return recHeader + int(rr.n) }
+
+// readPlan is one planned request read: buf holds the request's frames
+// back to back in logical order, and recs describes each of them.
+type readPlan struct {
+	buf  []byte
+	recs []readRec
+}
+
 // planAppend registers blks at logical positions pos, pos+1, ... and
-// reserves their file offsets, returning the write ops to execute;
-// pos may repoint existing entries or extend the index by exactly one
-// record at a time. The index is updated before any byte is written —
-// the ops must be submitted to the file's worker (or run inline)
-// before the token is released.
-func (r *recFile) planAppend(pos int64, blks []block.Block) ([]writeOp, error) {
-	ops := make([]writeOp, 0, len(blks))
+// reserves one extent for their frames at the append offset, returning
+// the write to execute; pos may repoint existing entries or extend the
+// index. The index is updated before any byte is written — the op must
+// be submitted to the file's worker (or run inline) before the token
+// is released.
+func (r *recFile) planAppend(pos int64, blks []block.Block) (writeOp, error) {
+	if pos > int64(len(r.index)) {
+		return writeOp{}, fmt.Errorf("filedev: write at %d leaves a gap (len %d)", pos, len(r.index))
+	}
+	size := 0
 	for _, blk := range blks {
-		off := r.end
+		size += recHeader + len(blk)
+	}
+	op := writeOp{off: r.end, data: make([]byte, size)}
+	at := 0
+	for _, blk := range blks {
 		crc := crc32.ChecksumIEEE(blk)
-		data := make([]byte, recHeader+len(blk))
-		binary.LittleEndian.PutUint32(data[:4], uint32(len(blk)))
-		binary.LittleEndian.PutUint32(data[4:8], crc)
-		copy(data[recHeader:], blk)
-		r.end = off + int64(len(data))
-		switch {
-		case pos < int64(len(r.index)):
+		fr := op.data[at : at+recHeader+len(blk)]
+		binary.LittleEndian.PutUint32(fr[:4], uint32(len(blk)))
+		binary.LittleEndian.PutUint32(fr[4:8], crc)
+		copy(fr[recHeader:], blk)
+		off := r.end + int64(at)
+		if pos < int64(len(r.index)) {
 			r.index[pos], r.lens[pos], r.crcs[pos] = off, int32(len(blk)), crc
-		case pos == int64(len(r.index)):
+		} else {
 			r.index = append(r.index, off)
 			r.lens = append(r.lens, int32(len(blk)))
 			r.crcs = append(r.crcs, crc)
-		default:
-			return nil, fmt.Errorf("filedev: write at %d leaves a gap (len %d)", pos, len(r.index))
 		}
-		ops = append(ops, writeOp{off: off, data: data})
+		at += len(fr)
 		pos++
 	}
-	return ops, nil
+	r.end += int64(size)
+	return op, nil
 }
 
-// execWrites performs planned writes and applies the sync policy.
-// Safe to run off the control token.
-func (r *recFile) execWrites(ops []writeOp) error {
+// execWrite performs a planned extent write with one positioned
+// syscall and applies the sync policy. Safe to run off the control
+// token.
+func (r *recFile) execWrite(op writeOp) error {
 	f := r.f.Load()
 	if f == nil {
 		return fmt.Errorf("filedev: write on released file: %w", os.ErrClosed)
 	}
-	var n int64
-	for _, op := range ops {
-		if _, err := f.WriteAt(op.data, op.off); err != nil {
-			return err
-		}
-		n += int64(len(op.data))
+	if len(op.data) == 0 {
+		return nil
 	}
-	return r.sync.wrote(f, n)
+	if _, err := f.WriteAt(op.data, op.off); err != nil {
+		return err
+	}
+	return r.sync.wrote(f, int64(len(op.data)))
 }
 
-// planRead resolves n records starting at logical position off into
-// positioned reads with preallocated buffers and expected checksums.
-func (r *recFile) planRead(off, n int64) ([]readOp, error) {
+// planRead resolves n records starting at logical position off into a
+// read plan: one buffer for all their frames and the index's view of
+// each record.
+func (r *recFile) planRead(off, n int64) (readPlan, error) {
 	if off < 0 || n < 0 || off+n > int64(len(r.index)) {
-		return nil, fmt.Errorf("filedev: read [%d,%d) out of range [0,%d)", off, off+n, len(r.index))
+		return readPlan{}, fmt.Errorf("filedev: read [%d,%d) out of range [0,%d)", off, off+n, len(r.index))
 	}
-	ops := make([]readOp, n)
-	for i := int64(0); i < n; i++ {
-		ops[i] = readOp{off: r.index[off+i] + recHeader,
-			buf: make([]byte, r.lens[off+i]), crc: r.crcs[off+i]}
+	recs := make([]readRec, n)
+	size := 0
+	for i := range recs {
+		p := off + int64(i)
+		recs[i] = readRec{off: r.index[p], n: r.lens[p], crc: r.crcs[p]}
+		size += recs[i].frame()
 	}
-	return ops, nil
+	return readPlan{buf: make([]byte, size), recs: recs}, nil
 }
 
-// execReads performs planned reads and verifies each record against
-// its stored checksum, converting short reads and payload mismatches
-// into typed device.ErrCorrupt. Safe to run off the control token:
-// verification is pure CPU over op-owned buffers.
-func (r *recFile) execReads(ops []readOp) error {
+// execReads performs a planned read with one positioned syscall per
+// run of file-adjacent frames, then checks every frame against the
+// index, converting short reads and mismatches into typed
+// device.ErrCorrupt. Safe to run off the control token: the checks are
+// pure CPU over plan-owned buffers.
+func (r *recFile) execReads(pl readPlan) error {
 	f := r.f.Load()
 	if f == nil {
 		return fmt.Errorf("filedev: read on released file: %w", os.ErrClosed)
 	}
-	for i, op := range ops {
-		n, err := f.ReadAt(op.buf, op.off)
-		switch {
-		case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
-			return fmt.Errorf("filedev: record %d truncated (%d of %d bytes): %w",
-				i, n, len(op.buf), device.ErrCorrupt)
-		case err != nil:
+	at := 0 // buffer offset of the current run
+	for i := 0; i < len(pl.recs); {
+		// Extend the run while the next frame starts where this one ends.
+		j, end := i+1, pl.recs[i].off+int64(pl.recs[i].frame())
+		for j < len(pl.recs) && pl.recs[j].off == end {
+			end += int64(pl.recs[j].frame())
+			j++
+		}
+		run := pl.buf[at : at+int(end-pl.recs[i].off)]
+		got, err := f.ReadAt(run, pl.recs[i].off)
+		if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 			return fmt.Errorf("filedev: record %d: %w", i, err)
 		}
-		if op.flip && len(op.buf) > 0 {
-			op.buf[len(op.buf)-1] ^= 0xff
+		for k, lo := i, 0; k < j; k++ {
+			hi := lo + pl.recs[k].frame()
+			if hi > got {
+				return fmt.Errorf("filedev: record %d truncated (%d of %d bytes): %w",
+					k, max(got-lo, 0), hi-lo, device.ErrCorrupt)
+			}
+			if err := pl.recs[k].check(run[lo:hi]); err != nil {
+				return fmt.Errorf("filedev: record %d: %w", k, err)
+			}
+			lo = hi
 		}
-		if got := crc32.ChecksumIEEE(op.buf); got != op.crc {
-			return fmt.Errorf("filedev: record %d: stored crc %08x, read %08x: %w",
-				i, op.crc, got, device.ErrCorrupt)
-		}
+		at += len(run)
+		i = j
 	}
 	return nil
 }
 
-// assemble converts executed read ops into blocks.
-func assemble(ops []readOp) []block.Block {
-	out := make([]block.Block, len(ops))
-	for i, op := range ops {
-		out[i] = block.Block(op.buf)
+// check verifies one frame read from the file against the index: the
+// header's length and CRC fields by byte compare, and the payload by
+// its one checksum.
+func (rr readRec) check(fr []byte) error {
+	payload := fr[recHeader:]
+	if rr.flip && len(payload) > 0 {
+		payload[len(payload)-1] ^= 0xff
+	}
+	if got := binary.LittleEndian.Uint32(fr[:4]); got != uint32(rr.n) {
+		return fmt.Errorf("header length %d, index %d: %w", got, rr.n, device.ErrCorrupt)
+	}
+	if got := binary.LittleEndian.Uint32(fr[4:8]); got != rr.crc {
+		return fmt.Errorf("header crc %08x, index %08x: %w", got, rr.crc, device.ErrCorrupt)
+	}
+	if got := crc32.ChecksumIEEE(payload); got != rr.crc {
+		return fmt.Errorf("stored crc %08x, read %08x: %w", rr.crc, got, device.ErrCorrupt)
+	}
+	return nil
+}
+
+// assemble returns the blocks of an executed read plan. They alias the
+// plan's buffer; the full slice expressions keep an append to one
+// block from running into the next frame.
+func assemble(pl readPlan) []block.Block {
+	out := make([]block.Block, len(pl.recs))
+	lo := 0
+	for i, rr := range pl.recs {
+		hi := lo + rr.frame()
+		out[i] = block.Block(pl.buf[lo+recHeader : hi : hi])
+		lo = hi
 	}
 	return out
 }
@@ -544,11 +596,11 @@ func assemble(ops []readOp) []block.Block {
 // appendRecords plans and executes inline — for mount-time respooling
 // and the synchronous path.
 func (r *recFile) appendRecords(pos int64, blks []block.Block) error {
-	ops, err := r.planAppend(pos, blks)
+	op, err := r.planAppend(pos, blks)
 	if err != nil {
 		return err
 	}
-	return r.execWrites(ops)
+	return r.execWrite(op)
 }
 
 // poisonBad marks the records of blks (appended from position 0) whose

@@ -237,7 +237,7 @@ func (f *File) Append(p *sim.Proc, blks []block.Block) error {
 		return err
 	}
 	if err := f.s.transfer(p, n, true, func() error {
-		return f.rf.execWrites(plan)
+		return f.rf.execWrite(plan)
 	}); err != nil {
 		return err
 	}

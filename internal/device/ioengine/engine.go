@@ -5,11 +5,12 @@
 // in wall-clock time while the kernel keeps virtual time deterministic.
 //
 // The engine also keeps the honest side of the books: per-device
-// wall-clock busy intervals (merged into an overlap fraction that
-// mirrors the virtual-time metric in internal/obs) and a per-device
-// queue-depth gauge. All gauge updates run on token-holding
-// goroutines; interval recording is the only mutex-guarded state
-// touched by workers.
+// wall-clock busy time and the time at least one device was busy (an
+// overlap fraction that mirrors the virtual-time metric in
+// internal/obs), and a per-device queue-depth gauge. All gauge updates
+// run on token-holding goroutines; the busy clocks are the only
+// mutex-guarded state touched by workers, and they cost O(1) per
+// operation in time and memory.
 package ioengine
 
 import (
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,16 +50,47 @@ type Engine struct {
 	policy Policy
 	flight *obs.FlightRecorder
 
+	start time.Time // epoch of the busy clocks
+
 	mu      sync.Mutex
-	start   time.Time
-	started bool
-	busy    map[string][]wallInterval // device name -> closed busy intervals
-	workers []*Worker                 // in creation order; same-name later wins
+	devs    map[string]*busyClock // device name -> its busy clock
+	names   []string              // keys of devs, sorted
+	union   busyClock             // busy while any device is
+	workers []*Worker             // in creation order; same-name later wins
 }
 
-// wallInterval is one worker-side busy window, relative to the
-// engine's first submission.
-type wallInterval struct{ s, t time.Duration }
+// busyClock accounts a set of possibly overlapping busy windows in
+// O(1): active counts the open windows, since stamps when that count
+// last rose from zero, and total sums the closed busy stretches. Its
+// figure is the length of the windows' union, what sorting and merging
+// every window would give.
+type busyClock struct {
+	active int
+	since  time.Duration
+	total  time.Duration
+}
+
+func (c *busyClock) begin(now time.Duration) {
+	if c.active == 0 {
+		c.since = now
+	}
+	c.active++
+}
+
+func (c *busyClock) end(now time.Duration) {
+	c.active--
+	if c.active == 0 {
+		c.total += now - c.since
+	}
+}
+
+// at returns the busy time up to now, an open stretch included.
+func (c *busyClock) at(now time.Duration) time.Duration {
+	if c.active > 0 {
+		return c.total + now - c.since
+	}
+	return c.total
+}
 
 // New returns an engine whose workers queue up to depth requests
 // (DefaultQueueDepth when depth <= 0), with the default fault policy
@@ -66,7 +99,8 @@ func New(depth int) *Engine {
 	if depth <= 0 {
 		depth = DefaultQueueDepth
 	}
-	return &Engine{depth: depth, policy: Policy{}.withDefaults(), busy: map[string][]wallInterval{}}
+	return &Engine{depth: depth, policy: Policy{}.withDefaults(),
+		start: time.Now(), devs: map[string]*busyClock{}}
 }
 
 // SetPolicy replaces the engine's fault policy. Call before creating
@@ -79,22 +113,36 @@ func (e *Engine) SetPolicy(p Policy) { e.policy = p.withDefaults() }
 // A nil recorder (the default) records nothing.
 func (e *Engine) SetFlight(f *obs.FlightRecorder) { e.flight = f }
 
-// now returns wall time relative to the engine's epoch, starting the
-// epoch on first use.
-func (e *Engine) now() time.Duration {
+// opBegin opens a busy window of dev at the current wall time and
+// returns that time, relative to the engine's epoch.
+func (e *Engine) opBegin(dev *busyClock) time.Duration {
 	e.mu.Lock()
-	if !e.started {
-		e.start, e.started = time.Now(), true
-	}
-	d := time.Since(e.start)
+	now := time.Since(e.start)
+	e.beginAt(dev, now)
 	e.mu.Unlock()
-	return d
+	return now
 }
 
-func (e *Engine) record(device string, s, t time.Duration) {
+// opEnd closes a busy window of dev at the current wall time and
+// returns that time.
+func (e *Engine) opEnd(dev *busyClock) time.Duration {
 	e.mu.Lock()
-	e.busy[device] = append(e.busy[device], wallInterval{s, t})
+	now := time.Since(e.start)
+	e.endAt(dev, now)
 	e.mu.Unlock()
+	return now
+}
+
+// beginAt and endAt move dev's and the union's clocks; e.mu must be
+// held, and now must not run backwards across calls.
+func (e *Engine) beginAt(dev *busyClock, now time.Duration) {
+	dev.begin(now)
+	e.union.begin(now)
+}
+
+func (e *Engine) endAt(dev *busyClock, now time.Duration) {
+	dev.end(now)
+	e.union.end(now)
 }
 
 // request is one queued operation. gen stamps the cancel generation at
@@ -110,10 +158,11 @@ type request struct {
 // submit through Do (or Submit/Await for split-phase use), and Close
 // it when the device closes.
 type Worker struct {
-	e    *Engine
-	name string
-	reqs chan request
-	done chan struct{}
+	e     *Engine
+	name  string
+	clock *busyClock // the device's busy clock, shared by same-name workers
+	reqs  chan request
+	done  chan struct{}
 
 	// Health state: written only by the worker goroutine, read from
 	// token-holding goroutines, so it lives in atomics. Metrics are
@@ -151,15 +200,22 @@ type Worker struct {
 
 // Worker creates a worker goroutine for the named device. Names are
 // labels, not keys: a second worker with the same name is a distinct
-// queue whose wall intervals merge into the same per-device series —
-// and a fresh worker starts Healthy, which is how replacement devices
-// built after a trip escape their predecessor's breaker.
+// queue whose busy time merges into the same per-device clock — and a
+// fresh worker starts Healthy, which is how replacement devices built
+// after a trip escape their predecessor's breaker.
 func (e *Engine) Worker(name string) *Worker {
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	w := &Worker{e: e, name: name, reqs: make(chan request, e.depth), done: make(chan struct{}),
 		rng: rand.New(rand.NewSource(int64(h.Sum64())))}
 	e.mu.Lock()
+	w.clock = e.devs[name]
+	if w.clock == nil {
+		w.clock = &busyClock{}
+		e.devs[name] = w.clock
+		i, _ := slices.BinarySearch(e.names, name)
+		e.names = slices.Insert(e.names, i, name)
+	}
 	e.workers = append(e.workers, w)
 	e.mu.Unlock()
 	go w.run()
@@ -421,7 +477,8 @@ func (w *Worker) Close() {
 	<-w.done
 }
 
-// DeviceWall is one device's total wall-clock busy time.
+// DeviceWall is one device's total wall-clock busy time: the time at
+// least one of its workers was in an operation.
 type DeviceWall struct {
 	Device string
 	Busy   time.Duration
@@ -429,9 +486,10 @@ type DeviceWall struct {
 
 // WallStats summarizes the engine's real-time device activity.
 type WallStats struct {
-	// PerDevice lists merged busy time per device, sorted by name.
+	// PerDevice lists busy time per device that has been busy, sorted
+	// by name.
 	PerDevice []DeviceWall
-	// Busy is the sum over devices of merged busy time.
+	// Busy is the sum over devices of their busy time.
 	Busy time.Duration
 	// Union is the wall time during which at least one device was busy.
 	Union time.Duration
@@ -448,71 +506,59 @@ func (s WallStats) Overlap() float64 {
 	return float64(s.Busy-s.Union) / float64(s.Busy)
 }
 
-// WallStats snapshots the engine's wall-clock accounting. Intended for
-// after-run reporting; it is safe to call concurrently with workers.
-func (e *Engine) WallStats() WallStats {
-	e.mu.Lock()
-	perDev := make(map[string][]wallInterval, len(e.busy))
-	var all []wallInterval
-	for dev, ivs := range e.busy {
-		perDev[dev] = append([]wallInterval(nil), ivs...)
-		all = append(all, ivs...)
+// Sub returns the activity between an earlier snapshot prev of the
+// same engine and s. Taken around a run with no operation in flight at
+// either end, it is exactly that run's activity.
+func (s WallStats) Sub(prev WallStats) WallStats {
+	out := WallStats{Busy: s.Busy - prev.Busy, Union: s.Union - prev.Union}
+	j := 0
+	for _, d := range s.PerDevice {
+		for j < len(prev.PerDevice) && prev.PerDevice[j].Device < d.Device {
+			j++
+		}
+		if j < len(prev.PerDevice) && prev.PerDevice[j].Device == d.Device {
+			d.Busy -= prev.PerDevice[j].Busy
+		}
+		if d.Busy > 0 {
+			out.PerDevice = append(out.PerDevice, d)
+		}
 	}
-	e.mu.Unlock()
-
-	var out WallStats
-	names := make([]string, 0, len(perDev))
-	for dev := range perDev {
-		names = append(names, dev)
-	}
-	sort.Strings(names)
-	for _, dev := range names {
-		busy := mergedTotal(perDev[dev])
-		out.PerDevice = append(out.PerDevice, DeviceWall{Device: dev, Busy: busy})
-		out.Busy += busy
-	}
-	out.Union = mergedTotal(all)
 	return out
 }
 
-// PublishMetrics exports the wall-clock stats into reg as gauges, one
-// busy-seconds series per device plus the overlap fraction.
-func (e *Engine) PublishMetrics(reg *obs.Registry) {
+// Publish exports the stats into reg as gauges, one busy-seconds
+// series per device plus the overlap fraction. A nil registry is a
+// no-op.
+func (s WallStats) Publish(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	st := e.WallStats()
-	for _, d := range st.PerDevice {
+	for _, d := range s.PerDevice {
 		reg.Gauge("iodev_wall_busy_seconds",
 			"Wall-clock time the device's worker spent in OS I/O.",
 			obs.A("device", d.Device)).Set(d.Busy.Seconds())
 	}
 	reg.Gauge("iodev_wall_overlap_fraction",
-		"Fraction of wall-clock device busy time overlapped across devices.").Set(st.Overlap())
+		"Fraction of wall-clock device busy time overlapped across devices.").Set(s.Overlap())
 }
 
-// mergedTotal sorts, coalesces and sums a set of intervals.
-func mergedTotal(ivs []wallInterval) time.Duration {
-	if len(ivs) == 0 {
-		return 0
-	}
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].s != ivs[j].s {
-			return ivs[i].s < ivs[j].s
+// WallStats snapshots the engine's wall-clock accounting: a copy of
+// its counters, with any busy stretch still open counted up to now.
+// Safe to call concurrently with workers.
+func (e *Engine) WallStats() WallStats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.statsAt(time.Since(e.start))
+}
+
+// statsAt builds the snapshot at engine time now; e.mu must be held.
+func (e *Engine) statsAt(now time.Duration) WallStats {
+	out := WallStats{Union: e.union.at(now)}
+	for _, name := range e.names {
+		if busy := e.devs[name].at(now); busy > 0 {
+			out.PerDevice = append(out.PerDevice, DeviceWall{Device: name, Busy: busy})
+			out.Busy += busy
 		}
-		return ivs[i].t < ivs[j].t
-	})
-	total := time.Duration(0)
-	cur := ivs[0]
-	for _, v := range ivs[1:] {
-		if v.s <= cur.t {
-			if v.t > cur.t {
-				cur.t = v.t
-			}
-			continue
-		}
-		total += cur.t - cur.s
-		cur = v
 	}
-	return total + (cur.t - cur.s)
+	return out
 }

@@ -2,6 +2,7 @@ package ioengine
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -134,21 +135,133 @@ func TestQueueDepthGauge(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	e.PublishMetrics(reg)
+	e.WallStats().Publish(reg)
 	if v := reg.Gauge("iodev_wall_busy_seconds", "", obs.A("device", "disk")).Value(); v <= 0 {
 		t.Errorf("published wall busy = %v, want > 0", v)
 	}
 }
 
-func TestMergedTotal(t *testing.T) {
+// TestBusyClocksScripted drives the begin/end accounting with scripted
+// times. One device's windows [0,10] [5,15] [20,30] [30,31] ms are 26 ms
+// busy: overlaps and touching windows count once, as sorting and
+// merging them would give.
+func TestBusyClocksScripted(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	got := mergedTotal([]wallInterval{
-		{ms(0), ms(10)}, {ms(5), ms(15)}, {ms(20), ms(30)}, {ms(30), ms(31)},
-	})
-	if got != ms(26) {
-		t.Errorf("mergedTotal = %v, want 26ms", got)
+	e := New(0)
+	w := e.Worker("disk")
+	defer w.Close()
+	for _, step := range []struct {
+		begin bool
+		at    int
+	}{{true, 0}, {true, 5}, {false, 10}, {false, 15}, {true, 20}, {false, 30}, {true, 30}, {false, 31}} {
+		if step.begin {
+			e.beginAt(w.clock, ms(step.at))
+		} else {
+			e.endAt(w.clock, ms(step.at))
+		}
 	}
-	if mergedTotal(nil) != 0 {
-		t.Error("empty mergedTotal != 0")
+	st := e.statsAt(ms(40))
+	want := []DeviceWall{{Device: "disk", Busy: ms(26)}}
+	if !slices.Equal(st.PerDevice, want) || st.Busy != ms(26) || st.Union != ms(26) {
+		t.Errorf("stats = %+v, want disk 26ms busy, union 26ms", st)
+	}
+	if st.Overlap() != 0 {
+		t.Errorf("one device overlaps itself: %v", st.Overlap())
+	}
+	if got := New(0).statsAt(ms(5)); got.Busy != 0 || got.Union != 0 || got.PerDevice != nil {
+		t.Errorf("idle engine stats = %+v, want zero", got)
+	}
+}
+
+// TestBusyClocksSameNameWorkers: two workers under one device name (a
+// replacement device) share its clock, so their overlapping windows
+// [0,10] and [5,15] count 15 ms for the device, not 20; a second
+// device busy over [12,20] then overlaps 3 ms of it. A window still
+// open counts up to the snapshot.
+func TestBusyClocksSameNameWorkers(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	e := New(0)
+	a, b, tp := e.Worker("disk"), e.Worker("disk"), e.Worker("tape:R")
+	defer a.Close()
+	defer b.Close()
+	defer tp.Close()
+	if a.clock != b.clock {
+		t.Fatal("same-name workers do not share a clock")
+	}
+	e.beginAt(a.clock, ms(0))
+	e.beginAt(b.clock, ms(5))
+	e.endAt(a.clock, ms(10))
+	e.beginAt(tp.clock, ms(12))
+	e.endAt(b.clock, ms(15))
+	e.endAt(tp.clock, ms(20))
+	st := e.statsAt(ms(25))
+	want := []DeviceWall{{Device: "disk", Busy: ms(15)}, {Device: "tape:R", Busy: ms(8)}}
+	if !slices.Equal(st.PerDevice, want) || st.Busy != ms(23) || st.Union != ms(20) {
+		t.Fatalf("stats = %+v, want disk 15ms, tape:R 8ms, union 20ms", st)
+	}
+	if got, want := st.Overlap(), 3.0/23; got < want-1e-12 || got > want+1e-12 {
+		t.Errorf("overlap = %v, want 3/23", got)
+	}
+
+	// Run-scoped figures: the difference of two snapshots.
+	e.beginAt(tp.clock, ms(30))
+	open := e.statsAt(ms(34))
+	if open.Union != ms(24) || open.PerDevice[1].Busy != ms(12) {
+		t.Errorf("open window not counted up to now: %+v", open)
+	}
+	e.endAt(tp.clock, ms(40))
+	run := e.statsAt(ms(50)).Sub(st)
+	want = []DeviceWall{{Device: "tape:R", Busy: ms(10)}}
+	if !slices.Equal(run.PerDevice, want) || run.Busy != ms(10) || run.Union != ms(10) {
+		t.Errorf("Sub = %+v, want tape:R alone, 10ms", run)
+	}
+}
+
+// TestWallStatsDoNotGrowWithOps: the accounting is O(1) per operation,
+// so a snapshot after many operations is one small copy.
+func TestWallStatsDoNotGrowWithOps(t *testing.T) {
+	e := New(0)
+	w := e.Worker("disk")
+	defer w.Close()
+	k := sim.NewKernel()
+	k.Spawn("p", func(p *sim.Proc) {
+		for i := 0; i < 1000; i++ {
+			if _, err := w.Do(p, func() error { return nil }); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.WallStats(); len(st.PerDevice) != 1 || st.PerDevice[0].Busy <= 0 || st.Union != st.Busy {
+		t.Fatalf("stats = %+v, want disk busy alone", st)
+	}
+	if n := testing.AllocsPerRun(10, func() { e.WallStats() }); n > 1 {
+		t.Errorf("WallStats allocates %v times, want at most 1", n)
+	}
+}
+
+// BenchmarkSubmitComplete measures one empty operation's round trip
+// through a worker: submit on the token side, execute and account on
+// the worker goroutine, complete back to the awaiting proc.
+func BenchmarkSubmitComplete(b *testing.B) {
+	e := New(0)
+	w := e.Worker("disk")
+	defer w.Close()
+	k := sim.NewKernel()
+	op := func() error { return nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Spawn("p", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			if _, err := w.Do(p, op); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
 	}
 }

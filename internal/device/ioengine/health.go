@@ -117,11 +117,10 @@ func (e notEnqueued) Unwrap() error { return e.err }
 // the worker goroutine.
 func (w *Worker) execute(req request) {
 	timeout := w.e.policy.OpTimeout
-	t0 := w.e.now()
+	t0 := w.e.opBegin(w.clock)
 	if timeout <= 0 {
 		err := req.op()
-		t1 := w.e.now()
-		w.e.record(w.name, t0, t1)
+		t1 := w.e.opEnd(w.clock)
 		w.opDone()
 		req.c.Post(sim.Duration(t1-t0), err)
 		return
@@ -132,8 +131,7 @@ func (w *Worker) execute(req request) {
 	select {
 	case err := <-done:
 		timer.Stop()
-		t1 := w.e.now()
-		w.e.record(w.name, t0, t1)
+		t1 := w.e.opEnd(w.clock)
 		w.opDone()
 		req.c.Post(sim.Duration(t1-t0), err)
 		return
@@ -148,8 +146,9 @@ func (w *Worker) execute(req request) {
 	} else {
 		w.setState(Degraded)
 	}
-	t1 := w.e.now()
-	w.e.record(w.name, t0, t1)
+	// The device's busy window closes at the deadline: the zombie's
+	// remaining time is the grace wait below, not device service.
+	t1 := w.e.opEnd(w.clock)
 	req.c.Post(sim.Duration(t1-t0),
 		fmt.Errorf("%s: op exceeded %v deadline: %w", w.name, timeout, ErrTimeout))
 	grace := time.NewTimer(w.e.policy.Grace)

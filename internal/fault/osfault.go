@@ -22,7 +22,8 @@ type OSDecision struct {
 	// Err, if non-nil, fails the operation with an EIO-style error
 	// (wrapping ErrTransient, so device-layer retries apply).
 	Err error
-	// Torn asks the file layer to write only a prefix of one record and
+	// Torn asks the file layer to write only a prefix of one syscall's
+	// bytes (on the file backend, one request's extent of records) and
 	// then report success — a torn write that only checksum
 	// verification can catch later.
 	Torn bool

@@ -15,6 +15,7 @@ import (
 	"repro/internal/block"
 	"repro/internal/buffer"
 	"repro/internal/device"
+	"repro/internal/device/ioengine"
 	"repro/internal/device/simdev"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -490,6 +491,13 @@ func RunWith(m Method, spec Spec, res Resources, sink Sink, opts ExecOptions) (*
 	s.k.Spawn("join:"+m.Symbol(), func(p *sim.Proc) {
 		result, runErr = s.Exec(p, m, spec, sink, opts)
 	})
+	// A real-I/O backend's wall figures span its lifetime, which may
+	// cover earlier runs; this run's are the difference across k.Run.
+	ws, walled := s.res.Backend.(device.WallStatser)
+	var before ioengine.WallStats
+	if walled {
+		before = ws.WallStats()
+	}
 	wall0 := time.Now()
 	if err := s.k.Run(); err != nil {
 		return nil, fmt.Errorf("%s: simulation: %w", m.Symbol(), err)
@@ -502,10 +510,11 @@ func RunWith(m Method, spec Spec, res Resources, sink Sink, opts ExecOptions) (*
 	// On a real-I/O backend, report the honest wall-clock figures next
 	// to the virtual ones: how long the run actually took, and how much
 	// of the devices' OS time overlapped.
-	if ws, ok := s.res.Backend.(device.WallStatser); ok {
+	if walled {
+		st := ws.WallStats().Sub(before)
 		result.Stats.WallElapsed = wallElapsed
-		result.Stats.WallOverlap = ws.WallStats().Overlap()
-		ws.PublishWallMetrics(s.res.Metrics)
+		result.Stats.WallOverlap = st.Overlap()
+		st.Publish(s.res.Metrics)
 	}
 	return result, nil
 }

@@ -1,7 +1,9 @@
 package join
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/block"
@@ -66,22 +68,48 @@ func max64(a, b int64) int64 {
 	return b
 }
 
+// smPasses is the number of merge passes sortOnTape makes over an
+// n-block region: one run per m-block memory load, then k-way merges
+// down to a single run.
+func smPasses(n, m int64, k int) int {
+	runs := (n + m - 1) / m
+	passes := 0
+	for ; runs > 1; passes++ {
+		runs = (runs + int64(k) - 1) / int64(k)
+	}
+	return passes
+}
+
 // Check implements Method: M >= 4 blocks (two merge inputs, an output
 // block and slack), and both cartridges need workspace for sorting
 // both relations: the away copy of each relation's runs plus ping-pong
-// room — |R| + |S| per cartridge, with per-run partial-block slack.
+// room — |R| + |S| per cartridge. No pass writes more blocks than its
+// relation occupies, since a source block never holds more tuples than
+// the packer puts in one. When both sorted copies end on one
+// cartridge, run appends a fresh copy of R's to the other, which then
+// needs |R| more; the pass counts predict where each copy ends, since
+// a sort with an even number of merge passes ends on its away
+// cartridge.
 func (TTSM) Check(spec Spec, res Resources) error {
 	if res.MemoryBlocks < 4 {
 		return fmt.Errorf("%w: M=%d < 4 blocks for a 2-way tape merge", ErrNeedMemory, res.MemoryBlocks)
 	}
 	r, s := spec.R.Region.N, spec.S.Region.N
-	slack := r/res.MemoryBlocks + s/res.MemoryBlocks + 16
-	need := r + s + slack
-	if free := spec.R.Media.Free(); free < need {
-		return fmt.Errorf("%w: R tape has %d free, sort workspaces need ~%d", ErrNeedTapeScratch, free, need)
+	needR, needS := r+s, r+s
+	k, _, _ := smFanIn(res.MemoryBlocks, res.IOChunk)
+	rOnS := smPasses(r, res.MemoryBlocks, k)%2 == 0 // R's away cartridge is S's
+	sOnS := smPasses(s, res.MemoryBlocks, k)%2 == 1 // S's away cartridge is R's
+	switch {
+	case rOnS && sOnS:
+		needR += r
+	case !rOnS && !sOnS:
+		needS += r
 	}
-	if free := spec.S.Media.Free(); free < need {
-		return fmt.Errorf("%w: S tape has %d free, sort workspaces need ~%d", ErrNeedTapeScratch, free, need)
+	if free := spec.R.Media.Free(); free < needR {
+		return fmt.Errorf("%w: R tape has %d free, sort workspaces need ~%d", ErrNeedTapeScratch, free, needR)
+	}
+	if free := spec.S.Media.Free(); free < needS {
+		return fmt.Errorf("%w: S tape has %d free, sort workspaces need ~%d", ErrNeedTapeScratch, free, needS)
 	}
 	return nil
 }
@@ -241,6 +269,7 @@ func sortOnTape(e *env, p *sim.Proc, src device.Drive, region device.Region,
 	wsAway.reset()
 	var runs []device.Region
 	var fences [][]uint64
+	var tuples []block.Tuple // one memory load, reused across loads
 	sp := e.span(p, "sort-runs", obs.AInt("blocks", region.N))
 	err := func() error {
 		e.mem.acquire(m)
@@ -251,7 +280,7 @@ func sortOnTape(e *env, p *sim.Proc, src device.Drive, region device.Region,
 			if err != nil {
 				return err
 			}
-			var tuples []block.Tuple
+			tuples = tuples[:0]
 			err = forEachTuple(blks, func(t block.Tuple) {
 				if keep != nil && !keep(t) {
 					return
@@ -261,7 +290,7 @@ func sortOnTape(e *env, p *sim.Proc, src device.Drive, region device.Region,
 			if err != nil {
 				return err
 			}
-			sort.SliceStable(tuples, func(i, j int) bool { return tuples[i].Key < tuples[j].Key })
+			slices.SortStableFunc(tuples, func(a, b block.Tuple) int { return cmp.Compare(a.Key, b.Key) })
 			bp := newBlockPacker(wsAway, tag, perBlk, outBuf)
 			bp.collect = e.res.ProbeNarrow
 			for _, t := range tuples {

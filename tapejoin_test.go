@@ -235,3 +235,51 @@ func TestMBConversion(t *testing.T) {
 		t.Fatalf("MB(3) = %d", MB(3))
 	}
 }
+
+// TestTTSMCheckAdmitsOnlyWhatRuns sweeps the R cartridge's room beyond
+// the sort workspaces from 0 to 64 MB in 4 MB steps. At these sizes
+// both of TT-SM's sorted copies end on the S cartridge and R's is
+// appended afresh to the R cartridge, so that cartridge needs |R|
+// beyond |R|+|S|. Whenever the feasibility check admits a join, the
+// join must succeed.
+func TestTTSMCheckAdmitsOnlyWhatRuns(t *testing.T) {
+	const rMB, sMB = 32, 128
+	admitted := 0
+	for slack := int64(0); slack <= 64; slack += 4 {
+		sys, err := NewSystem(Config{MemoryMB: 6, DiskMB: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tR, err := sys.NewTape("R-tape", rMB+rMB+sMB+slack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tS, err := sys.NewTape("S-tape", sMB+rMB+sMB+16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := sys.CreateRelation(tR, RelationConfig{Name: "R", SizeMB: rMB, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := sys.CreateRelation(tS, RelationConfig{Name: "S", SizeMB: sMB, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys.CheckFeasible(TTSM, r, s) != nil {
+			continue
+		}
+		admitted++
+		res, err := sys.Join(TTSM, r, s)
+		if err != nil {
+			t.Errorf("slack %d MB: admitted, then %v", slack, err)
+			continue
+		}
+		if want := ExpectedMatches(r, s); res.Stats.Matches != want {
+			t.Errorf("slack %d MB: matches = %d, want %d", slack, res.Stats.Matches, want)
+		}
+	}
+	if admitted == 0 {
+		t.Fatal("the check admitted no slack in the sweep")
+	}
+}
